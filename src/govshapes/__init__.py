@@ -16,7 +16,7 @@ from .shacl import (NodeShape, Severity, ValidationReport, Violation,
                     load_shapes, read_report, validate)
 from .ir import (IrRecord, KnowledgeBlock, compile_block, empty_block,
                  merge_severity, parse_ir)
-from .governance import (ComposedKb, EquivalenceResult, Profile, ProfileReport,
+from .governance import (EquivalenceResult, Profile, ProfileReport,
                          RefinementVerdict, Registry, compose, parse_profile,
                          serialize_profile)
 from .corpus import (CASE_IDS, COMPILER_CASES, COMPILER_PROFILES,

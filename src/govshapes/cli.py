@@ -178,12 +178,11 @@ def cmd_refine(args) -> int:
                   f"e.g. case {case_id}: {qname(witness.source_shape)})")
     print(f"{held} hold, {len(verdicts) - held} do not hold")
 
-    equivalent_pairs = []
-    for i, p1 in enumerate(profiles):
-        for p2 in profiles[i + 1:]:
-            result = registry.check_equivalence(p1, p2, corpus)
-            if result.equivalent:
-                equivalent_pairs.append((p1, p2))
+    # a profile always refines itself, so a repeated name is its own equivalent
+    holds = {(v.p1, v.p2): v.holds for v in verdicts}
+    equivalent_pairs = [(p1, p2) for i, p1 in enumerate(profiles)
+                        for p2 in profiles[i + 1:]
+                        if p1 == p2 or (holds[p1, p2] and holds[p2, p1])]
     if equivalent_pairs:
         for p1, p2 in equivalent_pairs:
             print(f"equivalent: {p1} == {p2}")
@@ -303,10 +302,7 @@ def main(argv: list[str] | None = None) -> int:
     args.argv = list(argv)
     try:
         return args.func(args)
-    except GovshapesError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (GovshapesError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:

@@ -61,10 +61,6 @@ def serialize_profile(profile: Profile) -> str:
     return "\n".join([f"profile: {profile.name}", *profile.blocks]) + "\n"
 
 
-class ComposedKb(KnowledgeBlock):
-    """A knowledge block produced by composition."""
-
-
 def _merged_shape(occurrences: list[NodeShape]) -> NodeShape:
     first = occurrences[0]
     severity = first.severity
@@ -82,7 +78,7 @@ def _merged_shape(occurrences: list[NodeShape]) -> NodeShape:
                      severity, first.message)
 
 
-def compose(blocks: list[KnowledgeBlock]) -> ComposedKb:
+def compose(blocks: list[KnowledgeBlock]) -> KnowledgeBlock:
     """Component-wise union of blocks.
 
     Same-IRI shapes collapse to one occurrence; their bodies must agree
@@ -100,7 +96,7 @@ def compose(blocks: list[KnowledgeBlock]) -> ComposedKb:
         concepts = union(concepts, block.concepts)
 
     names = sorted({b.name for b in blocks})
-    return ComposedKb(
+    return KnowledgeBlock(
         name="+".join(names) if names else "empty",
         obligations=frozenset().union(*(b.obligations for b in blocks))
         if blocks else frozenset(),
@@ -133,6 +129,10 @@ class RefinementVerdict:
         assert self.holds == (not self.counterexamples)
 
 
+# profile name -> that profile's violations on each corpus case, in order
+_ViolationTable = dict[str, list[tuple[Violation, ...]]]
+
+
 @dataclass(frozen=True)
 class EquivalenceResult:
     p1: str
@@ -148,7 +148,7 @@ class Registry:
     def __init__(self):
         self._blocks: dict[str, KnowledgeBlock] = {}
         self._profiles: dict[str, Profile] = {}
-        self._composed: dict[str, ComposedKb] = {}
+        self._composed: dict[str, KnowledgeBlock] = {}
 
     # -- population -----------------------------------------------------
 
@@ -189,7 +189,7 @@ class Registry:
                                       f"(have: {', '.join(self.profile_names)})")
         return self._profiles[name]
 
-    def composed(self, profile_name: str) -> ComposedKb:
+    def composed(self, profile_name: str) -> KnowledgeBlock:
         if profile_name not in self._composed:
             profile = self.profile(profile_name)
             members = [self.block(b) for b in profile.blocks]
@@ -204,28 +204,39 @@ class Registry:
         report = validate(list(kb.shapes), evidence)
         return ProfileReport(profile_name, case_id, report)
 
+    def _violation_table(self, profile_names: list[str],
+                         corpus: list[tuple[str, Graph]]) -> _ViolationTable:
+        """Each named profile's violations on each case, validated once."""
+        return {name: [self.validate_profile(graph, name).report.violations
+                       for _, graph in corpus]
+                for name in dict.fromkeys(profile_names)}
+
     def check_refinement(self, p1: str, p2: str,
                          corpus: list[tuple[str, Graph]]) -> RefinementVerdict:
         """Does every violation p2 detects also get detected by p1?"""
-        counterexamples: list[tuple[str, Violation]] = []
-        for case_id, graph in corpus:
-            detected = {v.identity
-                        for v in self.validate_profile(graph, p1).report.violations}
-            for violation in self.validate_profile(graph, p2).report.violations:
-                if violation.identity not in detected:
-                    counterexamples.append((case_id, violation))
-        return RefinementVerdict(p1, p2, not counterexamples,
-                                 tuple(counterexamples))
+        return _verdict(p1, p2, corpus, self._violation_table([p1, p2], corpus))
 
     def check_equivalence(self, p1: str, p2: str,
                           corpus: list[tuple[str, Graph]]) -> EquivalenceResult:
-        forward = self.check_refinement(p1, p2, corpus)
-        backward = self.check_refinement(p2, p1, corpus)
+        table = self._violation_table([p1, p2], corpus)
+        forward = _verdict(p1, p2, corpus, table)
+        backward = _verdict(p2, p1, corpus, table)
         return EquivalenceResult(p1, p2, forward.holds and backward.holds,
                                  forward, backward)
 
     def refinement_matrix(self, profile_names: list[str],
                           corpus: list[tuple[str, Graph]]) -> list[RefinementVerdict]:
         """All ordered distinct pairs, in the given profile order."""
-        return [self.check_refinement(p1, p2, corpus)
+        table = self._violation_table(profile_names, corpus)
+        return [_verdict(p1, p2, corpus, table)
                 for p1 in profile_names for p2 in profile_names if p1 != p2]
+
+
+def _verdict(p1: str, p2: str, corpus: list[tuple[str, Graph]],
+             table: _ViolationTable) -> RefinementVerdict:
+    counterexamples: list[tuple[str, Violation]] = []
+    for (case_id, _), found, expected in zip(corpus, table[p1], table[p2]):
+        detected = {v.identity for v in found}
+        counterexamples.extend((case_id, v) for v in expected
+                               if v.identity not in detected)
+    return RefinementVerdict(p1, p2, not counterexamples, tuple(counterexamples))

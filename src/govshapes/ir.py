@@ -25,7 +25,7 @@ from .rdf import (EX, PROV, RDF, RDFS, STANDARD_PREFIXES, Graph, Iri, Triple,
                   union)
 from .shacl import (Constraint, Datatype, MinCount, NodeShape,
                     QualifiedMinCountClass, Severity, SparqlConstraint,
-                    _constraint_sort_key, emit_shapes_graph)
+                    _constraint_sort_key, emit_shapes_graph, qname)
 from .sparql import SparqlQuery, TriplePattern, Var, parse_sparql
 
 _ID_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
@@ -182,17 +182,10 @@ def _build_record(item: dict, where: str) -> IrRecord:
             raise SchemaError(f"{where}: query uses {_THRESHOLD_PLACEHOLDER} "
                               "but no threshold_ref is given")
         sparql_text = sparql_text.replace(_THRESHOLD_PLACEHOLDER,
-                                          _compact(threshold_ref))
+                                          qname(threshold_ref))
     parse_sparql(sparql_text)  # syntax and scope errors propagate
     return IrRecord(obligation_id, target_class, "sparql", message, severity,
                     sparql_text=sparql_text, threshold_ref=threshold_ref)
-
-
-def _compact(iri: Iri) -> str:
-    for label, ns in STANDARD_PREFIXES.items():
-        if iri.value.startswith(ns):
-            return f"{label}:{iri.value[len(ns):]}"
-    return f"<{iri.value}>"
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +286,3 @@ def compile_block(records: list[IrRecord], block_name: str) -> KnowledgeBlock:
         evidence_requirements=frozenset(evidence),
         provenance_links=frozenset(prov_links),
     )
-
-
-# Contract alias: the operation is conventionally called "compile".
-compile = compile_block

@@ -8,7 +8,7 @@ documents need:
   - ``@prefix`` directives, IRIs, prefixed names, the ``a`` keyword
   - string literals (short and triple-quoted long form), ``^^`` typed
     literals, language tags, numeric shorthand (integer / decimal /
-    double), booleans
+    double) written with the ASCII digits ``0-9`` only, booleans
   - blank node property lists ``[ ... ]``, labelled blank nodes ``_:x``
   - predicate lists ``;`` and object lists ``,``
 
@@ -26,6 +26,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import TurtleSyntaxError
 
@@ -228,231 +229,109 @@ _INTEGER_RE = re.compile(r"^[+-]?[0-9]+$")
 _DECIMAL_RE = re.compile(r"^[+-]?[0-9]+\.[0-9]+$")
 _DOUBLE_RE = re.compile(r"^[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)[eE][+-]?[0-9]+$")
 
+# A name goes on with word characters and '-'; a '.' belongs to it only
+# when more name characters follow, so a trailing dot ends the statement.
+_LOCAL = r"[\w-]*(?:\.+[\w-]+)*"
+_NAME = r"[^\W\d_]" + _LOCAL
 
-@dataclass
-class _Token:
+# Every alternative consumes at least one character and the last takes
+# any character, so finditer covers the text without gaps. A group named
+# in _ERRORS marks input that cannot start a token.
+_TOKEN_RE = re.compile(rf'''
+    (?P<skip>(?:[ \t\r\n]|\#[^\n]*)+)
+  | (?P<pname>(?P<prefix>{_NAME}):(?P<local>{_LOCAL}))
+  | (?P<dot>\.) | (?P<semi>;) | (?P<comma>,) | (?P<lbracket>\[) | (?P<rbracket>\])
+  | (?P<string>"""(?:[^"\\]|\\[\s\S]|"(?!""))*"""|"(?!"")(?:[^"\\\n]|\\.)*")
+  | <(?P<iriref>[^<> \t\r\n]*)>
+  | (?P<number>(?:[+-]?[0-9]+(?:\.[0-9]+)?|[+-]\.[0-9]+)(?:[eE][+-]?[0-9]+)?)
+  | (?P<name>{_NAME})
+  | (?P<at_prefix>@prefix)(?![^\W\d_])
+  | (?P<at_base>@base)(?![^\W\d_])
+  | @(?P<lang>[^\W\d_]+(?:-[^\W_]+)*)
+  | _:(?P<blank>\w+)
+  | (?P<dcaret>\^\^)
+  | (?P<unterminated_iri><[^<> \t\r\n]*\Z)
+  | (?P<bad_iri><)
+  | (?P<bad_string>")
+  | (?P<collection>[()])
+  | (?P<bad_at>@)
+  | (?P<bad_blank>_:)
+  | (?P<bad_caret>\^)
+  | (?P<bad_char>[\s\S])
+''', re.VERBOSE)
+
+_ERRORS = {
+    "at_base": "@base is not supported",
+    "unterminated_iri": "unterminated IRI",
+    "bad_iri": "illegal character in IRI",
+    "bad_string": "unterminated string",
+    "collection": "collections '( )' are not supported",
+    "bad_at": "expected directive or language tag after '@'",
+    "bad_blank": "blank node label expected after '_:'",
+    "bad_caret": "expected '^^'",
+}
+_KEYWORDS = {"a": "a", "true": "boolean", "false": "boolean"}
+_WORD_RE = re.compile(r"\w")
+_ESCAPE_RE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|([\s\S]))")
+_ESCAPES = {"t": "\t", "n": "\n", '"': '"', "\\": "\\"}
+
+
+class _Token(NamedTuple):
     kind: str
     value: object
-    line: int
-    col: int
+    pos: int
 
 
-class _TurtleLexer:
-    _PUNCT = {".": "dot", ";": "semi", ",": "comma", "[": "lbracket", "]": "rbracket"}
+def _syntax_error(text: str, pos: int, message: str) -> TurtleSyntaxError:
+    """The error for ``message`` at character offset ``pos`` of ``text``."""
+    line = text.count("\n", 0, pos) + 1
+    return TurtleSyntaxError(message, line, pos - text.rfind("\n", 0, pos))
 
-    def __init__(self, source: str):
-        self.src = source
-        self.pos = 0
-        self.line = 1
-        self.col = 1
 
-    def error(self, msg: str, line: int | None = None, col: int | None = None):
-        raise TurtleSyntaxError(msg, line if line is not None else self.line,
-                                col if col is not None else self.col)
+def _unescape(m: re.Match) -> str:
+    code, char = m.groups()
+    if code is not None:
+        return chr(int(code, 16))
+    if char in _ESCAPES:
+        return _ESCAPES[char]
+    raise ValueError("bad \\u escape" if char == "u"
+                     else f"unsupported escape '\\{char}'")
 
-    def _peek(self, offset: int = 0) -> str:
-        i = self.pos + offset
-        return self.src[i] if i < len(self.src) else ""
 
-    def _advance(self) -> str:
-        c = self.src[self.pos]
-        self.pos += 1
-        if c == "\n":
-            self.line += 1
-            self.col = 1
-        else:
-            self.col += 1
-        return c
-
-    def tokens(self) -> list[_Token]:
-        out = []
-        while True:
-            self._skip_ws_and_comments()
-            if self.pos >= len(self.src):
-                out.append(_Token("eof", None, self.line, self.col))
-                return out
-            out.append(self._next_token())
-
-    def _skip_ws_and_comments(self):
-        while self.pos < len(self.src):
-            c = self._peek()
-            if c in " \t\r\n":
-                self._advance()
-            elif c == "#":
-                while self.pos < len(self.src) and self._peek() != "\n":
-                    self._advance()
-            else:
-                return
-
-    def _next_token(self) -> _Token:
-        line, col = self.line, self.col
-        c = self._peek()
-        if c == "<":
-            return self._iriref(line, col)
-        if c == '"':
-            return self._string(line, col)
-        if c in self._PUNCT:
-            self._advance()
-            return _Token(self._PUNCT[c], c, line, col)
-        if c == "(" or c == ")":
-            self.error("collections '( )' are not supported", line, col)
-        if c == "@":
-            return self._at_word(line, col)
-        if c == "^":
-            self._advance()
-            if self._peek() != "^":
-                self.error("expected '^^'", line, col)
-            self._advance()
-            return _Token("dcaret", "^^", line, col)
-        if c == "_" and self._peek(1) == ":":
-            return self._blank_label(line, col)
-        if c.isdigit() or (c in "+-" and (self._peek(1).isdigit() or self._peek(1) == ".")):
-            return self._number(line, col)
-        if c.isalpha():
-            return self._name(line, col)
-        self.error(f"unexpected character {c!r}", line, col)
-
-    def _iriref(self, line, col) -> _Token:
-        self._advance()
-        buf = []
-        while True:
-            if self.pos >= len(self.src):
-                self.error("unterminated IRI", line, col)
-            c = self._advance()
-            if c == ">":
-                break
-            if c in " \n\t\r<":
-                self.error("illegal character in IRI", line, col)
-            buf.append(c)
-        return _Token("iriref", "".join(buf), line, col)
-
-    def _string(self, line, col) -> _Token:
-        if self.src.startswith('"""', self.pos):
-            for _ in range(3):
-                self._advance()
-            return self._string_body(line, col, long=True)
-        self._advance()
-        return self._string_body(line, col, long=False)
-
-    def _string_body(self, line, col, long: bool) -> _Token:
-        buf = []
-        while True:
-            if self.pos >= len(self.src):
-                self.error("unterminated string", line, col)
-            c = self._peek()
-            if long and self.src.startswith('"""', self.pos):
-                for _ in range(3):
-                    self._advance()
-                return _Token("string", "".join(buf), line, col)
-            if not long and c == '"':
-                self._advance()
-                return _Token("string", "".join(buf), line, col)
-            if not long and c == "\n":
-                self.error("unterminated string", line, col)
-            if c == "\\":
-                self._advance()
-                buf.append(self._escape(line, col))
-            else:
-                buf.append(self._advance())
-
-    def _escape(self, line, col) -> str:
-        if self.pos >= len(self.src):
-            self.error("unterminated string", line, col)
-        c = self._advance()
-        simple = {"t": "\t", "n": "\n", '"': '"', "\\": "\\"}
-        if c in simple:
-            return simple[c]
-        if c == "u":
-            hexs = ""
-            for _ in range(4):
-                if self.pos >= len(self.src) or self._peek() not in "0123456789abcdefABCDEF":
-                    self.error("bad \\u escape", line, col)
-                hexs += self._advance()
-            return chr(int(hexs, 16))
-        self.error(f"unsupported escape '\\{c}'", line, col)
-
-    def _at_word(self, line, col) -> _Token:
-        self._advance()
-        word = ""
-        while self._peek().isalpha():
-            word += self._advance()
-        if word == "prefix":
-            return _Token("at_prefix", word, line, col)
-        if word == "base":
-            self.error("@base is not supported", line, col)
-        if not word:
-            self.error("expected directive or language tag after '@'", line, col)
-        # language tag: @en, @en-GB
-        tag = word
-        while self._peek() == "-" and self._peek(1).isalnum():
-            tag += self._advance()
-            while self._peek().isalnum():
-                tag += self._advance()
-        return _Token("lang", tag, line, col)
-
-    def _blank_label(self, line, col) -> _Token:
-        self._advance()
-        self._advance()
-        label = ""
-        while self._peek().isalnum() or self._peek() == "_":
-            label += self._advance()
-        if not label:
-            self.error("blank node label expected after '_:'", line, col)
-        return _Token("blank", label, line, col)
-
-    def _number(self, line, col) -> _Token:
-        buf = ""
-        if self._peek() in "+-":
-            buf += self._advance()
-        while self._peek().isdigit():
-            buf += self._advance()
-        # dot is part of the number only when digits follow; otherwise it
-        # terminates the statement
-        if self._peek() == "." and self._peek(1).isdigit():
-            buf += self._advance()
-            while self._peek().isdigit():
-                buf += self._advance()
-        if self._peek() in "eE":
-            buf += self._advance()
-            if self._peek() in "+-":
-                buf += self._advance()
-            if not self._peek().isdigit():
-                self.error(f"malformed numeric literal {buf!r}", line, col)
-            while self._peek().isdigit():
-                buf += self._advance()
-            kind = "double"
-        elif "." in buf:
-            kind = "decimal"
-        else:
-            kind = "integer"
-        if self._peek().isalpha():
-            self.error(f"malformed numeric literal {buf + self._peek()!r}", line, col)
-        return _Token(kind, buf, line, col)
-
-    def _name(self, line, col) -> _Token:
-        buf = ""
-        while self._peek().isalnum() or self._peek() in "_.-":
-            buf += self._advance()
-        # a trailing dot belongs to the statement, not the name
-        while buf.endswith("."):
-            buf = buf[:-1]
-            self.pos -= 1
-            self.col -= 1
-        if self._peek() == ":":
-            self._advance()
-            local = ""
-            while self._peek().isalnum() or self._peek() in "_.-":
-                local += self._advance()
-            while local.endswith("."):
-                local = local[:-1]
-                self.pos -= 1
-                self.col -= 1
-            return _Token("pname", (buf, local), line, col)
-        if buf == "a":
-            return _Token("a", buf, line, col)
-        if buf in ("true", "false"):
-            return _Token("boolean", buf, line, col)
-        self.error(f"unexpected token {buf!r}", line, col)
+def _tokenize(text: str) -> list[_Token]:
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        kind, pos = m.lastgroup, m.start()
+        if kind == "skip":
+            continue
+        if kind in _ERRORS:
+            raise _syntax_error(text, pos, _ERRORS[kind])
+        value = m[kind]
+        if kind == "pname":
+            value = m.group("prefix", "local")
+        elif kind == "string":
+            value = value[3:-3] if value.startswith('"""') else value[1:-1]
+            if "\\" in value:
+                try:
+                    value = _ESCAPE_RE.sub(_unescape, value)
+                except ValueError as exc:
+                    raise _syntax_error(text, pos, str(exc)) from None
+        elif kind == "number":
+            # a numeral running on into a word (12abc, 1e, 70²) is malformed
+            if _WORD_RE.match(text, m.end()):
+                raise _syntax_error(text, pos, "malformed numeric literal "
+                                    f"{text[pos:m.end() + 1]!r}")
+            kind = ("double" if "e" in value or "E" in value
+                    else "decimal" if "." in value else "integer")
+        elif kind == "name":
+            if value not in _KEYWORDS:
+                raise _syntax_error(text, pos, f"unexpected token {value!r}")
+            kind = _KEYWORDS[value]
+        elif kind == "bad_char":
+            raise _syntax_error(text, pos, f"unexpected character {value!r}")
+        tokens.append(_Token(kind, value, pos))
+    tokens.append(_Token("eof", None, len(text)))
+    return tokens
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +340,8 @@ class _TurtleLexer:
 
 class _TurtleParser:
     def __init__(self, source: str):
-        self.tokens = _TurtleLexer(source).tokens()
+        self.text = source
+        self.tokens = _tokenize(source)
         self.idx = 0
         self.graph = Graph()
         self._bnode_counter = 0
@@ -478,7 +358,7 @@ class _TurtleParser:
     def _expect(self, kind: str) -> _Token:
         tok = self._next()
         if tok.kind != kind:
-            raise TurtleSyntaxError(f"expected {kind}, found {tok.kind}", tok.line, tok.col)
+            raise _syntax_error(self.text, tok.pos, f"expected {kind}, found {tok.kind}")
         return tok
 
     def _fresh_bnode(self) -> BlankNode:
@@ -498,12 +378,12 @@ class _TurtleParser:
         self._next()
         tok = self._next()
         if tok.kind != "pname" or tok.value[1] != "":
-            raise TurtleSyntaxError("expected 'label:' after @prefix", tok.line, tok.col)
+            raise _syntax_error(self.text, tok.pos, "expected 'label:' after @prefix")
         label = tok.value[0]
         iri_tok = self._expect("iriref")
         if not _SCHEME_RE.match(iri_tok.value):
-            raise TurtleSyntaxError(f"relative IRI <{iri_tok.value}> not allowed",
-                                    iri_tok.line, iri_tok.col)
+            raise _syntax_error(self.text, iri_tok.pos,
+                                f"relative IRI <{iri_tok.value}> not allowed")
         self._expect("dot")
         self.graph.bind(label, iri_tok.value)
 
@@ -521,7 +401,7 @@ class _TurtleParser:
             return self._doc_label(tok.value)
         if tok.kind == "lbracket":
             return self._bnode_property_list()
-        raise TurtleSyntaxError(f"expected subject, found {tok.kind}", tok.line, tok.col)
+        raise _syntax_error(self.text, tok.pos, f"expected subject, found {tok.kind}")
 
     def _doc_label(self, label: str) -> BlankNode:
         if label not in self._doc_labels:
@@ -532,13 +412,15 @@ class _TurtleParser:
         tok = self._next()
         if tok.kind == "iriref":
             if not _SCHEME_RE.match(tok.value):
-                raise TurtleSyntaxError(f"relative IRI <{tok.value}> not allowed",
-                                        tok.line, tok.col)
+                raise _syntax_error(self.text, tok.pos,
+                                    f"relative IRI <{tok.value}> not allowed")
             return Iri(tok.value)
+        if tok.kind != "pname":
+            raise _syntax_error(self.text, tok.pos, f"expected IRI, found {tok.kind}")
         prefix, local = tok.value
         ns = self.graph.prefixes.get(prefix)
         if ns is None:
-            raise TurtleSyntaxError(f"undefined prefix '{prefix}:'", tok.line, tok.col)
+            raise _syntax_error(self.text, tok.pos, f"undefined prefix '{prefix}:'")
         return Iri(ns + local)
 
     def _predicate_object_list(self, subject: Term):
@@ -560,7 +442,7 @@ class _TurtleParser:
             return RDF.type
         if tok.kind in ("iriref", "pname"):
             return self._iri_term()
-        raise TurtleSyntaxError(f"expected predicate, found {tok.kind}", tok.line, tok.col)
+        raise _syntax_error(self.text, tok.pos, f"expected predicate, found {tok.kind}")
 
     def _object_list(self, subject: Term, predicate: Iri):
         while True:
@@ -594,7 +476,7 @@ class _TurtleParser:
         if tok.kind == "boolean":
             self._next()
             return Literal(tok.value, XSD.boolean)
-        raise TurtleSyntaxError(f"expected object, found {tok.kind}", tok.line, tok.col)
+        raise _syntax_error(self.text, tok.pos, f"expected object, found {tok.kind}")
 
     def _string_literal(self) -> Literal:
         tok = self._next()

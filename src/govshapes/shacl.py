@@ -35,6 +35,9 @@ def qname(iri: Iri) -> str:
     return f"<{iri.value}>"
 
 
+_SEVERITY_RANKS = {"Info": 0, "Warning": 1, "Violation": 2}
+
+
 class Severity(enum.Enum):
     """Result severity, ordered Info < Warning < Violation."""
 
@@ -44,7 +47,7 @@ class Severity(enum.Enum):
 
     @property
     def rank(self) -> int:
-        return {"Info": 0, "Warning": 1, "Violation": 2}[self.value]
+        return _SEVERITY_RANKS[self.value]
 
     @property
     def iri(self) -> Iri:

@@ -157,6 +157,33 @@ def test_validate_unknown_profile(tmp_path, capsys):
     assert "error: unknown profile 'Nope'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old, new", [
+    # the document ends right after a numeral, inside a statement
+    ("ex:logArtifact001 a ex:LogArtifact .\n", "ex:logArtifact001 ex:n 5"),
+    # a superscript two is no digit: a bad number must not read as "conforms"
+    ("ex:allocatedGPUHoursGroupB 70.0", "ex:allocatedGPUHoursGroupB 70².0"),
+], ids=["ends-in-numeral", "superscript-digit"])
+def test_validate_malformed_evidence_exits_two(tmp_path, capsys, old, new):
+    case = write_case(tmp_path, "disparity_exceeds")
+    text = case.read_text("utf-8")
+    assert old in text
+    case.write_text(text.replace(old, new), "utf-8")
+    assert main(["validate", str(case), "--profile", "Fairness"]) == 2
+    assert capsys.readouterr().err.startswith("error: line ")
+
+
+def test_validate_directory_exits_two(tmp_path, capsys):
+    assert main(["validate", str(tmp_path), "--profile", "Fairness"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_validate_undecodable_file_exits_two(tmp_path, capsys):
+    case = tmp_path / "case_bytes.ttl"
+    case.write_bytes(b"\xff\xfe")
+    assert main(["validate", str(case), "--profile", "Fairness"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 # ---------------------------------------------------------------------------
 # refine
 # ---------------------------------------------------------------------------

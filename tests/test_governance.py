@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 from govshapes import corpus
 from govshapes.errors import (ConflictingShapeBodiesError, SchemaError,
                               UnknownBlockError, UnknownProfileError)
-from govshapes.governance import (ComposedKb, Profile, Registry, compose,
+from govshapes.governance import (Profile, Registry, compose,
                                   parse_profile, serialize_profile)
-from govshapes.ir import compile_block, empty_block, parse_ir
+from govshapes.ir import KnowledgeBlock, compile_block, empty_block, parse_ir
 from govshapes.rdf import EX, Graph, serialize_turtle
 from govshapes.shacl import Severity, validate
 
@@ -68,7 +68,7 @@ def test_parse_profile_rejects_bad_manifests(text, fragment):
 
 def test_compose_unions_disjoint_blocks():
     kb = compose(blocks_named(["accountability", "fairness_transparency"]))
-    assert isinstance(kb, ComposedKb)
+    assert isinstance(kb, KnowledgeBlock)
     assert kb.name == "accountability+fairness_transparency"
     assert [s.iri for s in kb.shapes] == [
         EX.A1Shape, EX.A2Shape, EX.A3Shape, EX.A4Shape, EX.A5Shape,

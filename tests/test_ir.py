@@ -9,7 +9,6 @@ from govshapes.errors import (DuplicateIdError, SchemaError, SparqlSyntaxError,
                               UnknownPrefixError)
 from govshapes.ir import (IrRecord, KnowledgeBlock, compile_block, empty_block,
                           merge_severity, parse_ir)
-from govshapes.ir import compile as compile_alias
 from govshapes.rdf import EX, PROV, RDF, RDFS, XSD, Iri, serialize_turtle
 from govshapes.shacl import (Datatype, MinCount, QualifiedMinCountClass,
                              Severity, SparqlConstraint, load_shapes)
@@ -301,10 +300,6 @@ def test_compile_of_nothing_is_the_empty_block():
     stock = empty_block()
     assert stock.name == "empty"
     assert serialize_turtle(stock.document_graph()) == ""
-
-
-def test_compile_alias_is_the_same_function():
-    assert compile_alias is compile_block
 
 
 def test_shapes_graph_round_trips_through_loader():

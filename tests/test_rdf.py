@@ -185,6 +185,16 @@ def test_parse_numeric_and_boolean_shorthand():
     assert objects["u"] == Literal("false", XSD.boolean)
 
 
+def test_parse_leading_dot_needs_a_sign():
+    g = parse_turtle("@prefix ex: <http://example.org/okb#> .\n"
+                     "ex:s ex:p +.5 , -.25 .")
+    assert {t.object for t in g} == {Literal("+.5", XSD.decimal),
+                                     Literal("-.25", XSD.decimal)}
+    # unsigned, the dot ends the statement and 5 starts the next one
+    with pytest.raises(TurtleSyntaxError, match="expected subject, found integer"):
+        parse_turtle("<http://s.test/s> <http://p.test/p> <http://o.test/o> .5 .")
+
+
 def test_parse_string_escapes():
     g = parse_turtle(r"""
         @prefix ex: <http://example.org/okb#> .
@@ -295,6 +305,14 @@ def test_parse_absolute_iriref():
     ('"literal" <http://p.test/p> <http://o.test/o> .', "expected subject"),
     ("<http://s.test/s> 42 <http://o.test/o> .", "expected predicate"),
     ("<http://s.test/s> <http://p.test/p> ; .", "expected object"),
+    ("@prefix ex: <http://example.org/okb#> .\nex:s ex:p ex:o", "expected dot"),
+    ("<http://s.test/s> <http://p.test/p> 5", "expected dot"),
+    ("<http://s.test/s> <http://p.test/p> +.", "unexpected character '+'"),
+    ("<http://s.test/s> <http://p.test/p> 70².0 .", "malformed numeric"),
+    ("<http://s.test/s> <http://p.test/p> 7\u0663 .", "malformed numeric"),
+    ('<http://s.test/s> <http://p.test/p> "x"^^ .', "expected IRI"),
+    ('@prefix a: <http://a.test/> .\n<http://s.test/s> <http://p.test/p> "x"^^"ab" .',
+     "expected IRI"),
 ])
 def test_parse_errors(source, fragment):
     with pytest.raises(TurtleSyntaxError) as err:
@@ -309,6 +327,22 @@ def test_parse_error_reports_position():
         parse_turtle("@prefix ex: <http://example.org/okb#> .\nex:s foo:p ex:o .")
     assert err.value.line == 2
     assert "foo" in str(err.value)
+
+
+_TURTLE_PIECES = st.sampled_from(
+    list(' \n.;,[]()<>"\\@^_:#+-eE07a²') + [
+        '"""', "\\u00e9", "ex:", "@prefix ex: <http://example.org/okb#> .",
+        "true", "<http://s.test/s>", "_:b"])
+
+
+@given(st.lists(_TURTLE_PIECES, max_size=16).map("".join))
+def test_parse_returns_graph_or_syntax_error(text):
+    try:
+        graph = parse_turtle(text)
+    except TurtleSyntaxError as err:
+        assert err.line >= 1 and err.column >= 1
+    else:
+        assert isinstance(graph, Graph)
 
 
 def test_parse_short_string_rejects_raw_newline():
