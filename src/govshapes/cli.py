@@ -302,7 +302,7 @@ def main(argv: list[str] | None = None) -> int:
     args.argv = list(argv)
     try:
         return args.func(args)
-    except (GovshapesError, OSError, UnicodeDecodeError) as exc:
+    except (GovshapesError, OSError, UnicodeDecodeError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:

@@ -99,9 +99,13 @@ class Namespace:
         return self._base
 
     def __getattr__(self, name: str) -> Iri:
+        # only reached on a miss: the instance attribute set here answers
+        # every later lookup of the same name
         if name.startswith("_"):
             raise AttributeError(name)
-        return Iri(self._base + name)
+        iri = Iri(self._base + name)
+        setattr(self, name, iri)
+        return iri
 
     def term(self, name: str) -> Iri:
         return Iri(self._base + name)
@@ -135,6 +139,9 @@ def is_numeric_literal(t: Term) -> bool:
 # Graph
 # ---------------------------------------------------------------------------
 
+_Index = dict[Term, list[Triple]]
+
+
 class Graph:
     """A finite set of triples plus a prefix map.
 
@@ -142,12 +149,19 @@ class Graph:
     built once (parser, compiler, report emitter) and treated as
     immutable afterwards; all read paths are safe to share across
     threads.
+
+    The first read after the last ``add`` sorts the triples and builds
+    hash indexes keyed by subject, by predicate and by object, each
+    bucket in canonical order; ``add`` drops both. Each is assigned in a
+    single statement, so a concurrent reader sees either none or all of
+    it.
     """
 
     def __init__(self, triples=(), prefixes: dict[str, str] | None = None):
         self._triples: set[Triple] = set(triples)
         self._prefixes: dict[str, str] = dict(prefixes or {})
         self._sorted: list[Triple] | None = None
+        self._index: tuple[_Index, _Index, _Index] | None = None
 
     @property
     def prefixes(self) -> dict[str, str]:
@@ -160,6 +174,7 @@ class Graph:
         if triple not in self._triples:
             self._triples.add(triple)
             self._sorted = None
+            self._index = None
 
     def __len__(self) -> int:
         return len(self._triples)
@@ -183,6 +198,20 @@ class Graph:
             self._sorted = sorted(self._triples, key=triple_sort_key)
         return self._sorted
 
+    def _indexes(self) -> tuple[_Index, _Index, _Index]:
+        """The subject, predicate and object indexes."""
+        index = self._index
+        if index is None:
+            by_s: _Index = {}
+            by_p: _Index = {}
+            by_o: _Index = {}
+            for t in self.sorted_triples():
+                by_s.setdefault(t.subject, []).append(t)
+                by_p.setdefault(t.predicate, []).append(t)
+                by_o.setdefault(t.object, []).append(t)
+            index = self._index = (by_s, by_p, by_o)
+        return index
+
     def match(self, s: Term | None = None, p: Term | None = None,
               o: Term | None = None) -> list[Triple]:
         """All triples agreeing with every given position.
@@ -191,16 +220,13 @@ class Graph:
         is returned in canonical order so downstream joins stay
         deterministic.
         """
-        out = []
-        for t in self.sorted_triples():
-            if s is not None and t.subject != s:
-                continue
-            if p is not None and t.predicate != p:
-                continue
-            if o is not None and t.object != o:
-                continue
-            out.append(t)
-        return out
+        buckets = [index.get(term, ()) for index, term in zip(self._indexes(), (s, p, o))
+                   if term is not None]
+        if not buckets:
+            return list(self.sorted_triples())
+        return [t for t in min(buckets, key=len)
+                if (s is None or t.subject == s) and (p is None or t.predicate == p)
+                and (o is None or t.object == o)]
 
     def subjects_of_type(self, cls: Iri) -> list[Term]:
         return [t.subject for t in self.match(None, RDF.type, cls)]
@@ -418,7 +444,7 @@ class _TurtleParser:
         if tok.kind != "pname":
             raise _syntax_error(self.text, tok.pos, f"expected IRI, found {tok.kind}")
         prefix, local = tok.value
-        ns = self.graph.prefixes.get(prefix)
+        ns = self.graph._prefixes.get(prefix)
         if ns is None:
             raise _syntax_error(self.text, tok.pos, f"undefined prefix '{prefix}:'")
         return Iri(ns + local)
@@ -503,9 +529,15 @@ def parse_turtle(source: str) -> Graph:
     """Parse a Turtle document into a Graph.
 
     Blank node labels are fresh per parse; they never carry identity
-    across documents.
+    across documents. Nesting deeper than the interpreter's recursion
+    limit allows is a syntax error.
     """
-    return _TurtleParser(source).parse()
+    parser = _TurtleParser(source)
+    try:
+        return parser.parse()
+    except RecursionError:
+        tok = parser.tokens[min(parser.idx, len(parser.tokens) - 1)]
+        raise _syntax_error(source, tok.pos, "nesting too deep") from None
 
 
 # ---------------------------------------------------------------------------
@@ -519,12 +551,7 @@ class _Serializer:
         # longest-namespace-first so nested namespaces resolve correctly
         self.ns_by_length = sorted(graph.prefixes.items(),
                                    key=lambda kv: (-len(kv[1]), kv[0]))
-        self.by_subject: dict[Term, list[Triple]] = {}
-        self.refcount: dict[BlankNode, int] = {}
-        for t in graph.sorted_triples():
-            self.by_subject.setdefault(t.subject, []).append(t)
-            if isinstance(t.object, BlankNode):
-                self.refcount[t.object] = self.refcount.get(t.object, 0) + 1
+        self.by_subject, _, self.by_object = graph._indexes()
 
     # -- blank node canonical content keys ---------------------------------
 
@@ -556,9 +583,9 @@ class _Serializer:
     def render(self) -> str:
         # blank nodes needing a stable label: multiply referenced or cyclic
         labelled = sorted(
-            (b for b in set(self.by_subject) | set(self.refcount)
+            (b for b in set(self.by_subject) | set(self.by_object)
              if isinstance(b, BlankNode)
-             and (self.refcount.get(b, 0) >= 2 or self._is_cyclic(b))),
+             and (len(self.by_object.get(b, ())) >= 2 or self._is_cyclic(b))),
             key=lambda b: (self.content_key(b), b.label))
         self.labels = {b: f"c{i}" for i, b in enumerate(labelled)}
 
@@ -566,7 +593,7 @@ class _Serializer:
                               key=term_sort_key)
         root_bnodes = sorted(
             (s for s in self.by_subject
-             if isinstance(s, BlankNode) and self.refcount.get(s, 0) == 0
+             if isinstance(s, BlankNode) and s not in self.by_object
              and s not in self.labels),
             key=self.content_key)
         labelled_subjects = sorted((b for b in self.labels if b in self.by_subject),

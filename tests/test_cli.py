@@ -172,6 +172,24 @@ def test_validate_malformed_evidence_exits_two(tmp_path, capsys, old, new):
     assert capsys.readouterr().err.startswith("error: line ")
 
 
+def test_validate_deeply_nested_evidence_exits_two(tmp_path, capsys):
+    case = write_case(tmp_path, "conform")
+    depth = 1500
+    with case.open("a", encoding="utf-8") as f:
+        f.write("ex:deep ex:q " + "[ ex:q " * depth + "ex:o" + " ]" * depth + " .\n")
+    assert main(["validate", str(case), "--profile", "Fairness"]) == 2
+    assert "nesting too deep" in capsys.readouterr().err
+
+
+def test_recursion_error_exits_two(tmp_path, capsys, monkeypatch):
+    def overflow(text):
+        raise RecursionError("maximum recursion depth exceeded")
+    monkeypatch.setattr("govshapes.cli.parse_turtle", overflow)
+    case = write_case(tmp_path, "conform")
+    assert main(["validate", str(case), "--profile", "Fairness"]) == 2
+    assert capsys.readouterr().err.startswith("error: maximum recursion depth")
+
+
 def test_validate_directory_exits_two(tmp_path, capsys):
     assert main(["validate", str(tmp_path), "--profile", "Fairness"]) == 2
     assert capsys.readouterr().err.startswith("error: ")

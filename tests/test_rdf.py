@@ -1,5 +1,6 @@
 """Term model, graph operations, and the Turtle codec."""
 
+import itertools
 import logging
 import random
 
@@ -78,6 +79,11 @@ def test_namespace_builds_iris():
     assert EX.term("a-b.c") == Iri("http://example.org/okb#a-b.c")
 
 
+def test_namespace_attribute_iris_are_built_once():
+    assert EX.Decision is EX.Decision
+    assert EX.term("Decision") == EX.Decision
+
+
 # ---------------------------------------------------------------------------
 # Graph
 # ---------------------------------------------------------------------------
@@ -111,6 +117,44 @@ def test_graph_match_is_canonically_ordered():
     assert g.match(None, EX.p) == triples
 
 
+def _scan(g, s, p, o):
+    return [t for t in g.sorted_triples()
+            if (s is None or t.subject == s) and (p is None or t.predicate == p)
+            and (o is None or t.object == o)]
+
+
+@given(gen.bnode_graphs(), st.data())
+def test_match_agrees_with_a_linear_scan(g, data):
+    triples = g.sorted_triples()
+    terms = [x for t in triples for x in (t.subject, t.predicate, t.object)]
+    # mostly terms of the graph, one of its triples as a base, some strangers
+    probe = st.sampled_from(terms) | gen.ground_terms if terms else gen.ground_terms
+    base = data.draw(st.sampled_from(triples)) if triples else Triple(EX.s, EX.p, EX.o)
+    spo = [data.draw(st.just(term) | probe)
+           for term in (base.subject, base.predicate, base.object)]
+    for mask in itertools.product((False, True), repeat=3):
+        args = [term if bound else None for term, bound in zip(spo, mask)]
+        assert g.match(*args) == _scan(g, *args)
+
+
+def test_match_sees_triples_added_after_a_read():
+    first, second = Triple(EX.s, EX.p, EX.o1), Triple(EX.s, EX.p, EX.o2)
+    g = Graph([first])
+    assert g.match(EX.s, EX.p) == [first]
+    assert g.match(None, None, EX.o2) == []
+    g.add(second)
+    assert g.match(EX.s, EX.p) == [first, second]
+    assert g.match(None, None, EX.o2) == [second]
+    assert g.match() == [first, second]
+
+
+def test_match_result_is_a_fresh_list():
+    g = Graph([Triple(EX.s, EX.p, EX.o)])
+    g.match(EX.s).clear()
+    g.match().clear()
+    assert g.match(EX.s) == g.match() == [Triple(EX.s, EX.p, EX.o)]
+
+
 def test_subjects_of_type():
     g = Graph([
         Triple(EX.d1, RDF.type, EX.Decision),
@@ -139,6 +183,18 @@ def test_union_merges_triples_and_prefixes():
     u = union(a, b)
     assert len(u) == 2
     assert u.prefixes == {"ex": EX.base, "xsd": XSD.base}
+
+
+def test_union_graph_answers_match():
+    a = Graph([Triple(EX.s, EX.p, EX.o1)])
+    b = Graph([Triple(EX.s, EX.p, EX.o2), Triple(EX.t, EX.q, EX.o1)])
+    a.match(EX.s)
+    b.match(EX.s)
+    u = union(a, b)
+    assert u.match(EX.s, EX.p) == [Triple(EX.s, EX.p, EX.o1), Triple(EX.s, EX.p, EX.o2)]
+    assert u.match(None, None, EX.o1) == [Triple(EX.s, EX.p, EX.o1),
+                                          Triple(EX.t, EX.q, EX.o1)]
+    assert u.match(EX.t, EX.p) == []
 
 
 def test_union_prefix_conflict_keeps_left_and_warns(caplog):
@@ -343,6 +399,16 @@ def test_parse_returns_graph_or_syntax_error(text):
         assert err.line >= 1 and err.column >= 1
     else:
         assert isinstance(graph, Graph)
+
+
+def test_parse_deep_nesting_is_a_syntax_error():
+    depth = 1500
+    source = ("@prefix ex: <http://example.org/okb#> .\nex:s ex:q "
+              + "[ ex:q " * depth + "ex:o" + " ]" * depth + " .")
+    with pytest.raises(TurtleSyntaxError) as err:
+        parse_turtle(source)
+    assert "nesting too deep" in str(err.value)
+    assert err.value.line == 2
 
 
 def test_parse_short_string_rejects_raw_newline():
