@@ -16,7 +16,7 @@ canonical output, whatever their input order.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import yaml
 
@@ -50,7 +50,7 @@ class IrRecord:
     """One obligation: a target class plus a single constraint description.
 
     ``sparql_text`` is stored post-substitution, so it always parses on
-    its own.
+    its own; ``query`` is that parse, made once when the record is built.
     """
 
     obligation_id: str
@@ -64,6 +64,13 @@ class IrRecord:
     min_count: int = 1
     sparql_text: str | None = None
     threshold_ref: Iri | None = None
+    query: SparqlQuery | None = field(default=None, init=False, repr=False,
+                                      compare=False)
+
+    def __post_init__(self):
+        if self.sparql_text is not None:
+            # syntax and scope errors propagate
+            object.__setattr__(self, "query", parse_sparql(self.sparql_text))
 
 
 def _resolve_name(value: str, where: str) -> Iri:
@@ -183,7 +190,6 @@ def _build_record(item: dict, where: str) -> IrRecord:
                               "but no threshold_ref is given")
         sparql_text = sparql_text.replace(_THRESHOLD_PLACEHOLDER,
                                           qname(threshold_ref))
-    parse_sparql(sparql_text)  # syntax and scope errors propagate
     return IrRecord(obligation_id, target_class, "sparql", message, severity,
                     sparql_text=sparql_text, threshold_ref=threshold_ref)
 
@@ -227,8 +233,7 @@ def _record_shape(record: IrRecord) -> NodeShape:
             constraints.append(QualifiedMinCountClass(
                 record.relation, record.value_class, record.min_count))
     else:
-        query = parse_sparql(record.sparql_text)
-        constraints.append(SparqlConstraint(record.sparql_text, query))
+        constraints.append(SparqlConstraint(record.sparql_text, record.query))
     constraints.sort(key=_constraint_sort_key)
     return NodeShape(iri, record.target_class, tuple(constraints),
                      record.severity, record.message)
@@ -266,7 +271,7 @@ def compile_block(records: list[IrRecord], block_name: str) -> KnowledgeBlock:
             if record.value_class is not None:
                 classes.add(record.value_class)
         else:
-            for anchored, pred in _query_predicates(parse_sparql(record.sparql_text)):
+            for anchored, pred in _query_predicates(record.query):
                 predicates.add(pred)
                 if anchored:
                     evidence.add((record.target_class, pred))

@@ -12,7 +12,8 @@ documents need:
   - blank node property lists ``[ ... ]``, labelled blank nodes ``_:x``
   - predicate lists ``;`` and object lists ``,``
 
-Collections ``( )``, base IRIs, and relative IRIs are rejected.
+Collections ``( )``, base IRIs, and relative IRIs are rejected. The
+SPARQL subset in ``sparql`` tokenizes its terms with the same lexer.
 
 Serialization is canonical: prefixes sorted by label, subjects sorted
 by IRI with blank-node subjects last, predicates and objects sorted
@@ -229,6 +230,7 @@ class Graph:
                 and (o is None or t.object == o)]
 
     def subjects_of_type(self, cls: Iri) -> list[Term]:
+        """The distinct instances of ``cls``, in canonical order."""
         return [t.subject for t in self.match(None, RDF.type, cls)]
 
 
@@ -246,31 +248,45 @@ def union(a: Graph, b: Graph) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# Turtle lexer
+# Lexer (shared by Turtle and the SPARQL subset)
 # ---------------------------------------------------------------------------
 
 _SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
 _PN_LOCAL_RE = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_.\-]*$")
+_DOUBLE = r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)[eE][+-]?[0-9]+"
 _INTEGER_RE = re.compile(r"^[+-]?[0-9]+$")
 _DECIMAL_RE = re.compile(r"^[+-]?[0-9]+\.[0-9]+$")
-_DOUBLE_RE = re.compile(r"^[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)[eE][+-]?[0-9]+$")
+_DOUBLE_RE = re.compile(rf"^{_DOUBLE}$")
 
 # A name goes on with word characters and '-'; a '.' belongs to it only
 # when more name characters follow, so a trailing dot ends the statement.
 _LOCAL = r"[\w-]*(?:\.+[\w-]+)*"
 _NAME = r"[^\W\d_]" + _LOCAL
 
+# A language's token pattern is _TERMS, then its own alternatives, then
+# _CATCH_ALL. _TERMS holds layout and the term fragments both languages
+# share; its numeral reads back every double the serializer writes bare.
 # Every alternative consumes at least one character and the last takes
 # any character, so finditer covers the text without gaps. A group named
 # in _ERRORS marks input that cannot start a token.
-_TOKEN_RE = re.compile(rf'''
+_TERMS = rf'''
     (?P<skip>(?:[ \t\r\n]|\#[^\n]*)+)
-  | (?P<pname>(?P<prefix>{_NAME}):(?P<local>{_LOCAL}))
-  | (?P<dot>\.) | (?P<semi>;) | (?P<comma>,) | (?P<lbracket>\[) | (?P<rbracket>\])
+  | (?P<pname>{_NAME}:{_LOCAL})
   | (?P<string>"""(?:[^"\\]|\\[\s\S]|"(?!""))*"""|"(?!"")(?:[^"\\\n]|\\.)*")
   | <(?P<iriref>[^<> \t\r\n]*)>
-  | (?P<number>(?:[+-]?[0-9]+(?:\.[0-9]+)?|[+-]\.[0-9]+)(?:[eE][+-]?[0-9]+)?)
-  | (?P<name>{_NAME})
+  | (?P<number>{_DOUBLE}|[+-]?[0-9]+(?:\.[0-9]+)?|[+-]\.[0-9]+)
+'''
+_CATCH_ALL = r'''
+  | (?P<bad_string>")
+  | (?P<bad_char>[\s\S])
+'''
+
+# Turtle's only bare words are the keywords, each a whole name: no name
+# character may follow, past any dots.
+_TOKEN_RE = re.compile(_TERMS + rf'''
+  | (?P<dot>\.) | (?P<semi>;) | (?P<comma>,) | (?P<lbracket>\[) | (?P<rbracket>\])
+  | (?P<name>(?:a|true|false)(?!\.*[\w-]))
+  | (?P<bad_name>{_NAME})
   | (?P<at_prefix>@prefix)(?![^\W\d_])
   | (?P<at_base>@base)(?![^\W\d_])
   | @(?P<lang>[^\W\d_]+(?:-[^\W_]+)*)
@@ -278,25 +294,29 @@ _TOKEN_RE = re.compile(rf'''
   | (?P<dcaret>\^\^)
   | (?P<unterminated_iri><[^<> \t\r\n]*\Z)
   | (?P<bad_iri><)
-  | (?P<bad_string>")
   | (?P<collection>[()])
   | (?P<bad_at>@)
   | (?P<bad_blank>_:)
   | (?P<bad_caret>\^)
-  | (?P<bad_char>[\s\S])
-''', re.VERBOSE)
+''' + _CATCH_ALL, re.VERBOSE)
 
 _ERRORS = {
+    "bad_name": "unexpected token {!r}",
     "at_base": "@base is not supported",
     "unterminated_iri": "unterminated IRI",
     "bad_iri": "illegal character in IRI",
-    "bad_string": "unterminated string",
     "collection": "collections '( )' are not supported",
     "bad_at": "expected directive or language tag after '@'",
     "bad_blank": "blank node label expected after '_:'",
     "bad_caret": "expected '^^'",
+    "bad_string": "unterminated string",
+    "bad_char": "unexpected character {!r}",
 }
+# bare words with the same meaning in Turtle and SPARQL
 _KEYWORDS = {"a": "a", "true": "boolean", "false": "boolean"}
+_LITERAL_DATATYPES = {"string": XSD.string, "integer": XSD.integer,
+                      "decimal": XSD.decimal, "double": XSD.double,
+                      "boolean": XSD.boolean}
 _WORD_RE = re.compile(r"\w")
 _ESCAPE_RE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|([\s\S]))")
 _ESCAPES = {"t": "\t", "n": "\n", '"': '"', "\\": "\\"}
@@ -304,7 +324,7 @@ _ESCAPES = {"t": "\t", "n": "\n", '"': '"', "\\": "\\"}
 
 class _Token(NamedTuple):
     kind: str
-    value: object
+    value: str
     pos: int
 
 
@@ -324,40 +344,56 @@ def _unescape(m: re.Match) -> str:
                      else f"unsupported escape '\\{char}'")
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str, token_re: re.Pattern, error) -> list[_Token]:
+    """The tokens of ``text`` under a language's ``token_re``.
+
+    ``error(text, pos, message)`` builds the language's syntax error.
+    """
     tokens = []
-    for m in _TOKEN_RE.finditer(text):
+    for m in token_re.finditer(text):
         kind, pos = m.lastgroup, m.start()
         if kind == "skip":
             continue
-        if kind in _ERRORS:
-            raise _syntax_error(text, pos, _ERRORS[kind])
         value = m[kind]
-        if kind == "pname":
-            value = m.group("prefix", "local")
-        elif kind == "string":
+        if kind in _ERRORS:
+            raise error(text, pos, _ERRORS[kind].format(value))
+        if kind == "string":
             value = value[3:-3] if value.startswith('"""') else value[1:-1]
             if "\\" in value:
                 try:
                     value = _ESCAPE_RE.sub(_unescape, value)
                 except ValueError as exc:
-                    raise _syntax_error(text, pos, str(exc)) from None
+                    raise error(text, pos, str(exc)) from None
+        elif kind == "iriref":
+            if not _SCHEME_RE.match(value):
+                raise error(text, pos, f"relative IRI <{value}> not allowed")
         elif kind == "number":
             # a numeral running on into a word (12abc, 1e, 70²) is malformed
             if _WORD_RE.match(text, m.end()):
-                raise _syntax_error(text, pos, "malformed numeric literal "
-                                    f"{text[pos:m.end() + 1]!r}")
+                raise error(text, pos, "malformed numeric literal "
+                            f"{text[pos:m.end() + 1]!r}")
             kind = ("double" if "e" in value or "E" in value
                     else "decimal" if "." in value else "integer")
         elif kind == "name":
-            if value not in _KEYWORDS:
-                raise _syntax_error(text, pos, f"unexpected token {value!r}")
-            kind = _KEYWORDS[value]
-        elif kind == "bad_char":
-            raise _syntax_error(text, pos, f"unexpected character {value!r}")
+            kind = _KEYWORDS.get(value, kind)
         tokens.append(_Token(kind, value, pos))
-    tokens.append(_Token("eof", None, len(text)))
+    tokens.append(_Token("eof", "", len(text)))
     return tokens
+
+
+def _token_term(text: str, tok: _Token, prefixes: dict[str, str],
+                error) -> Iri | Literal | None:
+    """The IRI or literal ``tok`` stands for, or None for any other token."""
+    if tok.kind == "iriref":
+        return Iri(tok.value)
+    if tok.kind == "pname":
+        prefix, _, local = tok.value.partition(":")
+        ns = prefixes.get(prefix)
+        if ns is None:
+            raise error(text, tok.pos, f"undefined prefix '{prefix}:'")
+        return Iri(ns + local)
+    datatype = _LITERAL_DATATYPES.get(tok.kind)
+    return None if datatype is None else Literal(tok.value, datatype)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +403,7 @@ def _tokenize(text: str) -> list[_Token]:
 class _TurtleParser:
     def __init__(self, source: str):
         self.text = source
-        self.tokens = _tokenize(source)
+        self.tokens = _tokenize(source, _TOKEN_RE, _syntax_error)
         self.idx = 0
         self.graph = Graph()
         self._bnode_counter = 0
@@ -403,15 +439,11 @@ class _TurtleParser:
     def _prefix_directive(self):
         self._next()
         tok = self._next()
-        if tok.kind != "pname" or tok.value[1] != "":
+        if tok.kind != "pname" or not tok.value.endswith(":"):
             raise _syntax_error(self.text, tok.pos, "expected 'label:' after @prefix")
-        label = tok.value[0]
         iri_tok = self._expect("iriref")
-        if not _SCHEME_RE.match(iri_tok.value):
-            raise _syntax_error(self.text, iri_tok.pos,
-                                f"relative IRI <{iri_tok.value}> not allowed")
         self._expect("dot")
-        self.graph.bind(label, iri_tok.value)
+        self.graph.bind(tok.value[:-1], iri_tok.value)
 
     def _triples_block(self):
         subject = self._subject()
@@ -434,20 +466,15 @@ class _TurtleParser:
             self._doc_labels[label] = self._fresh_bnode()
         return self._doc_labels[label]
 
+    def _term(self, tok: _Token) -> Iri | Literal | None:
+        return _token_term(self.text, tok, self.graph._prefixes, _syntax_error)
+
     def _iri_term(self) -> Iri:
         tok = self._next()
-        if tok.kind == "iriref":
-            if not _SCHEME_RE.match(tok.value):
-                raise _syntax_error(self.text, tok.pos,
-                                    f"relative IRI <{tok.value}> not allowed")
-            return Iri(tok.value)
-        if tok.kind != "pname":
+        term = self._term(tok)
+        if not isinstance(term, Iri):
             raise _syntax_error(self.text, tok.pos, f"expected IRI, found {tok.kind}")
-        prefix, local = tok.value
-        ns = self.graph._prefixes.get(prefix)
-        if ns is None:
-            raise _syntax_error(self.text, tok.pos, f"undefined prefix '{prefix}:'")
-        return Iri(ns + local)
+        return term
 
     def _predicate_object_list(self, subject: Term):
         while True:
@@ -481,40 +508,21 @@ class _TurtleParser:
 
     def _object(self) -> Term:
         tok = self._peek()
-        if tok.kind in ("iriref", "pname"):
-            return self._iri_term()
         if tok.kind == "blank":
             self._next()
             return self._doc_label(tok.value)
         if tok.kind == "lbracket":
             return self._bnode_property_list()
-        if tok.kind == "string":
-            return self._string_literal()
-        if tok.kind == "integer":
+        term = self._term(tok)
+        if term is None:
+            raise _syntax_error(self.text, tok.pos, f"expected object, found {tok.kind}")
+        self._next()
+        if tok.kind == "string" and self._peek().kind == "dcaret":
             self._next()
-            return Literal(tok.value, XSD.integer)
-        if tok.kind == "decimal":
-            self._next()
-            return Literal(tok.value, XSD.decimal)
-        if tok.kind == "double":
-            self._next()
-            return Literal(tok.value, XSD.double)
-        if tok.kind == "boolean":
-            self._next()
-            return Literal(tok.value, XSD.boolean)
-        raise _syntax_error(self.text, tok.pos, f"expected object, found {tok.kind}")
-
-    def _string_literal(self) -> Literal:
-        tok = self._next()
-        nxt = self._peek()
-        if nxt.kind == "dcaret":
-            self._next()
-            dt = self._iri_term()
-            return Literal(tok.value, dt)
-        if nxt.kind == "lang":
-            self._next()
-            return Literal(tok.value, language=nxt.value.lower())
-        return Literal(tok.value)
+            return Literal(tok.value, self._iri_term())
+        if tok.kind == "string" and self._peek().kind == "lang":
+            return Literal(tok.value, language=self._next().value.lower())
+        return term
 
     def _bnode_property_list(self) -> BlankNode:
         self._expect("lbracket")

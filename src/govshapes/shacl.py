@@ -253,9 +253,7 @@ def load_shapes(graph: Graph) -> list[NodeShape]:
     misspelled vocabulary never silently validates everything.
     """
     shapes = []
-    for subject in sorted(
-            {t.subject for t in graph.match(None, RDF.type, SH.NodeShape)},
-            key=term_sort_key):
+    for subject in graph.subjects_of_type(SH.NodeShape):
         if not isinstance(subject, Iri):
             raise MalformedShapeError("node shapes must be named by an IRI")
         shapes.append(_load_shape(graph, subject))
@@ -429,8 +427,7 @@ def emit_shapes_graph(shapes: list[NodeShape],
 
 def focus_nodes(graph: Graph, shape: NodeShape) -> list[Term]:
     """Instances of the shape's target class, canonical order."""
-    return sorted({t.subject for t in graph.match(None, RDF.type, shape.target_class)},
-                  key=term_sort_key)
+    return graph.subjects_of_type(shape.target_class)
 
 
 def _check(constraint: Constraint, shape: NodeShape, graph: Graph, focus: Term,

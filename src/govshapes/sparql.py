@@ -13,6 +13,10 @@ Everything else (OPTIONAL, UNION, subqueries, aggregates, property
 paths, ...) is rejected at parse time by name, so a query either runs
 under these semantics or fails loudly.
 
+Terms are lexed exactly as in Turtle (``rdf._tokenize``): absolute IRIs
+only, prefixed names whose local part does not end in ``.``, short and
+long strings with the Turtle escapes, and numerals in ASCII digits.
+
 Evaluation uses nested-loop joins over ``Graph.match``. A type error
 inside an expression does not abort the query: the offending solution
 is eliminated and a diagnostic entry records why, mirroring the
@@ -21,11 +25,13 @@ error-elimination behavior validators rely on.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 
 from .errors import SparqlSyntaxError, TypeMismatchError, UnboundVariableError
-from .rdf import RDF, XSD, Graph, Iri, Literal, Term, is_numeric_literal
+from .rdf import (_CATCH_ALL, _TERMS, RDF, XSD, Graph, Iri, Literal, Term, _Token,
+                  _token_term, _tokenize, is_numeric_literal)
 
 Binding = dict[str, Term]
 
@@ -36,7 +42,6 @@ _UNSUPPORTED = {
     "DELETE", "REGEX", "STR", "LANG", "DATATYPE", "BOUND", "COALESCE",
     "CONCAT", "COUNT", "SUM", "AVG", "MIN", "MAX", "SAMPLE",
 }
-_KEYWORDS = {"SELECT", "WHERE", "BIND", "FILTER", "AS", "ABS", "IF", "A"}
 
 
 # ---------------------------------------------------------------------------
@@ -142,61 +147,39 @@ class EvalDiagnostic:
 
 
 # ---------------------------------------------------------------------------
-# Lexer
+# Lexer: the Turtle lexer's term fragments plus variables, names and operators
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"""
-    (?P<ws>\s+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<iriref><[^<>\s]*>)
-  | (?P<string>"(?:[^"\\\n]|\\.)*")
+_TOKEN_RE = re.compile(_TERMS + r"""
   | (?P<var>[?$][A-Za-z_][A-Za-z0-9_]*)
-  | (?P<double>[+-]?(?:\d+\.?\d*|\.\d+)[eE][+-]?\d+)
-  | (?P<decimal>[+-]?\d+\.\d+)
-  | (?P<integer>[+-]?\d+)
-  | (?P<pname>[A-Za-z][A-Za-z0-9_\-]*:[A-Za-z0-9_][A-Za-z0-9_.\-]*)
   | (?P<name>[A-Za-z][A-Za-z0-9_]*)
   | (?P<op><=|>=|!=|[{}().;,=<>+\-*/])
-""", re.VERBOSE)
+""" + _CATCH_ALL, re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str
-    value: str
-    pos: int
-
-
-def _tokenize(text: str) -> list[_Tok]:
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise SparqlSyntaxError(f"unexpected character {text[pos]!r} at offset {pos}")
-        kind = m.lastgroup
-        if kind not in ("ws", "comment"):
-            out.append(_Tok(kind, m.group(), pos))
-        pos = m.end()
-    out.append(_Tok("eof", "", pos))
-    return out
+def _syntax_error(text: str, pos: int, message: str) -> SparqlSyntaxError:
+    return SparqlSyntaxError(f"{message} at offset {pos}")
 
 
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
 
+# the expression node for each kind of value a literal token evaluates to
+_CONSTANTS = {float: NumConst, bool: BoolConst}
+
+
 class _Parser:
     def __init__(self, text: str, prefixes: dict[str, str]):
         self.text = text
         self.prefixes = prefixes
-        self.tokens = _tokenize(text)
+        self.tokens = _tokenize(text, _TOKEN_RE, _syntax_error)
         self.idx = 0
 
-    def _peek(self) -> _Tok:
+    def _peek(self) -> _Token:
         return self.tokens[self.idx]
 
-    def _next(self) -> _Tok:
+    def _next(self) -> _Token:
         tok = self.tokens[self.idx]
         self.idx += 1
         return tok
@@ -206,14 +189,17 @@ class _Parser:
         if tok.kind != "op" or tok.value != op:
             raise SparqlSyntaxError(f"expected {op!r}, found {tok.value!r}")
 
-    def _keyword(self, tok: _Tok) -> str | None:
-        if tok.kind == "name":
-            upper = tok.value.upper()
-            if upper in _UNSUPPORTED:
-                raise SparqlSyntaxError(f"{upper} is not supported in constraint queries")
-            if upper in _KEYWORDS:
-                return upper
-        return None
+    def _keyword(self, tok: _Token) -> str | None:
+        """A name token's keyword (any case), None for other tokens."""
+        if tok.kind != "name":
+            return None
+        upper = tok.value.upper()
+        if upper in _UNSUPPORTED:
+            raise SparqlSyntaxError(f"{upper} is not supported in constraint queries")
+        return upper
+
+    def _term(self, tok: _Token) -> Iri | Literal | None:
+        return _token_term(self.text, tok, self.prefixes, _syntax_error)
 
     def _expect_keyword(self, kw: str) -> None:
         tok = self._next()
@@ -247,7 +233,7 @@ class _Parser:
                 return clauses
             if tok.kind == "eof":
                 raise SparqlSyntaxError("unterminated group, expected '}'")
-            kw = self._keyword(tok) if tok.kind == "name" else None
+            kw = self._keyword(tok)
             if kw == "BIND":
                 self._next()
                 clauses.append(self._bind())
@@ -285,8 +271,7 @@ class _Parser:
         return patterns
 
     def _pattern_verb(self) -> Term | Var:
-        tok = self._peek()
-        if tok.kind == "name" and self._keyword(tok) == "A":
+        if self._peek().kind == "a":
             self._next()
             return RDF.type
         return self._pattern_term(position="predicate")
@@ -295,31 +280,11 @@ class _Parser:
         tok = self._next()
         if tok.kind == "var":
             return Var(tok.value[1:])
-        if tok.kind == "iriref":
-            return Iri(tok.value[1:-1])
-        if tok.kind == "pname":
-            return self._resolve_pname(tok.value)
-        if position == "object":
-            if tok.kind == "integer":
-                return Literal(tok.value, XSD.integer)
-            if tok.kind == "decimal":
-                return Literal(tok.value, XSD.decimal)
-            if tok.kind == "double":
-                return Literal(tok.value, XSD.double)
-            if tok.kind == "string":
-                return Literal(_unescape(tok.value[1:-1]))
-            if tok.kind == "name" and tok.value in ("true", "false"):
-                return Literal(tok.value, XSD.boolean)
-        if tok.kind == "name":
-            self._keyword(tok)  # raises for unsupported keywords
+        term = self._term(tok)
+        if isinstance(term, Iri) or (term is not None and position == "object"):
+            return term
+        self._keyword(tok)  # raises for unsupported keywords
         raise SparqlSyntaxError(f"expected {position} term, found {tok.value!r}")
-
-    def _resolve_pname(self, pname: str) -> Iri:
-        prefix, local = pname.split(":", 1)
-        ns = self.prefixes.get(prefix)
-        if ns is None:
-            raise SparqlSyntaxError(f"undefined prefix '{prefix}:' in query")
-        return Iri(ns + local)
 
     # -- BIND / FILTER ----------------------------------------------------
 
@@ -389,50 +354,26 @@ class _Parser:
             return expr
         if tok.kind == "var":
             return VarRef(tok.value[1:])
-        if tok.kind in ("integer", "decimal", "double"):
-            return NumConst(float(tok.value))
-        if tok.kind == "string":
-            return TermConst(Literal(_unescape(tok.value[1:-1])))
-        if tok.kind == "iriref":
-            return TermConst(Iri(tok.value[1:-1]))
-        if tok.kind == "pname":
-            return TermConst(self._resolve_pname(tok.value))
-        if tok.kind == "name":
-            kw = self._keyword(tok)
-            if kw == "ABS":
-                self._expect_op("(")
-                arg = self._expression()
-                self._expect_op(")")
-                return AbsCall(arg)
-            if kw == "IF":
-                self._expect_op("(")
-                cond = self._expression()
-                self._expect_op(",")
-                then = self._expression()
-                self._expect_op(",")
-                els = self._expression()
-                self._expect_op(")")
-                return IfCall(cond, then, els)
-            if tok.value == "true":
-                return BoolConst(True)
-            if tok.value == "false":
-                return BoolConst(False)
+        term = self._term(tok)
+        if term is not None:
+            value = _term_value(term)
+            return _CONSTANTS.get(type(value), TermConst)(value)
+        kw = self._keyword(tok)
+        if kw == "ABS":
+            self._expect_op("(")
+            arg = self._expression()
+            self._expect_op(")")
+            return AbsCall(arg)
+        if kw == "IF":
+            self._expect_op("(")
+            cond = self._expression()
+            self._expect_op(",")
+            then = self._expression()
+            self._expect_op(",")
+            els = self._expression()
+            self._expect_op(")")
+            return IfCall(cond, then, els)
         raise SparqlSyntaxError(f"expected expression, found {tok.value!r}")
-
-
-def _unescape(body: str) -> str:
-    out = []
-    i = 0
-    while i < len(body):
-        c = body[i]
-        if c == "\\" and i + 1 < len(body):
-            nxt = body[i + 1]
-            out.append({"n": "\n", "t": "\t", '"': '"', "\\": "\\"}.get(nxt, nxt))
-            i += 2
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
 
 
 def _expr_vars(expr: Expression) -> set[str]:
@@ -486,7 +427,12 @@ def parse_sparql(text: str, prefixes: dict[str, str] | None = None) -> SparqlQue
     if prefixes is None:
         from .rdf import STANDARD_PREFIXES
         prefixes = STANDARD_PREFIXES
-    return _Parser(text, prefixes).parse()
+    parser = _Parser(text, prefixes)
+    try:
+        return parser.parse()
+    except RecursionError:
+        tok = parser.tokens[min(parser.idx, len(parser.tokens) - 1)]
+        raise _syntax_error(text, tok.pos, "nesting too deep") from None
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +445,15 @@ def _numeric_value(lit: Literal) -> float:
     except ValueError:
         raise TypeMismatchError(
             f"literal {lit.lexical!r} is not a valid number") from None
+
+
+def _term_value(term: Term) -> float | bool | Term:
+    """A term as expressions see it: numbers as floats, booleans as bools."""
+    if is_numeric_literal(term):
+        return _numeric_value(term)
+    if isinstance(term, Literal) and term.datatype == XSD.boolean:
+        return term.lexical == "true"
+    return term
 
 
 def eval_expression(expr: Expression, binding: Binding) -> float | bool | Term:
@@ -518,12 +473,7 @@ def eval_expression(expr: Expression, binding: Binding) -> float | bool | Term:
     if isinstance(expr, VarRef):
         if expr.name not in binding:
             raise UnboundVariableError(f"variable ?{expr.name} is unbound")
-        term = binding[expr.name]
-        if is_numeric_literal(term):
-            return _numeric_value(term)
-        if isinstance(term, Literal) and term.datatype == XSD.boolean:
-            return term.lexical == "true"
-        return term
+        return _term_value(binding[expr.name])
     if isinstance(expr, Neg):
         return -_as_number(eval_expression(expr.arg, binding))
     if isinstance(expr, AbsCall):
@@ -571,25 +521,21 @@ def _describe(value) -> str:
     return type(value).__name__
 
 
+_COMPARISONS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
+                ">": operator.gt, "<=": operator.le, ">=": operator.ge}
+
+
 def _compare(op: str, left, right) -> bool:
     if isinstance(left, float) and isinstance(right, float) \
             and not isinstance(left, bool) and not isinstance(right, bool):
-        return {
-            "=": left == right, "!=": left != right,
-            "<": left < right, ">": left > right,
-            "<=": left <= right, ">=": left >= right,
-        }[op]
+        return _COMPARISONS[op](left, right)
     if isinstance(left, bool) and isinstance(right, bool):
-        if op == "=":
-            return left == right
-        if op == "!=":
-            return left != right
+        if op in ("=", "!="):
+            return _COMPARISONS[op](left, right)
         raise TypeMismatchError("booleans are not ordered")
     if isinstance(left, (Iri, Literal)) and isinstance(right, (Iri, Literal)):
-        if op == "=":
-            return left == right
-        if op == "!=":
-            return left != right
+        if op in ("=", "!="):
+            return _COMPARISONS[op](left, right)
         raise TypeMismatchError(
             f"cannot order {_describe(left)} against {_describe(right)}")
     raise TypeMismatchError(

@@ -59,6 +59,21 @@ def test_compile_rejects_duplicate_ids(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_compile_deeply_nested_query_exits_two(tmp_path, capsys):
+    depth = 3000
+    src = tmp_path / "deep.ir.yaml"
+    src.write_text("- obligation_id: R1\n"
+                   "  target_class: ex:Decision\n"
+                   "  constraint_type: sparql\n"
+                   "  message: Deep.\n"
+                   "  sparql_text: SELECT $this WHERE { FILTER("
+                   + "(" * depth + "1" + ")" * depth + ") }\n", "utf-8")
+    out = tmp_path / "deep.ttl"
+    assert main(["compile", str(src), "-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: nesting too deep")
+    assert not out.exists()
+
+
 def test_compile_missing_input_file(tmp_path, capsys):
     assert main(["compile", str(tmp_path / "nope.ir.yaml"),
                  "-o", str(tmp_path / "out.ttl")]) == 2

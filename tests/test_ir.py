@@ -12,6 +12,7 @@ from govshapes.ir import (IrRecord, KnowledgeBlock, compile_block, empty_block,
 from govshapes.rdf import EX, PROV, RDF, RDFS, XSD, Iri, serialize_turtle
 from govshapes.shacl import (Datatype, MinCount, QualifiedMinCountClass,
                              Severity, SparqlConstraint, load_shapes)
+from govshapes.sparql import parse_sparql
 
 
 def records(text):
@@ -182,6 +183,31 @@ def test_bad_embedded_query_propagates():
               message: M.
               sparql_text: SELECT ?v WHERE { $this ex:p ?v }
         """)
+    depth = 3000
+    with pytest.raises(SparqlSyntaxError, match="nesting too deep"):
+        records(f"""
+            - obligation_id: R1
+              target_class: ex:T
+              constraint_type: sparql
+              message: M.
+              sparql_text: SELECT $this WHERE {{ FILTER({"(" * depth}1{")" * depth}) }}
+        """)
+
+
+def test_each_query_is_parsed_once(monkeypatch):
+    calls = []
+
+    def counting_parse(text, prefixes=None):
+        calls.append(text)
+        return parse_sparql(text, prefixes)
+
+    monkeypatch.setattr("govshapes.ir.parse_sparql", counting_parse)
+    recs = parse_ir(block_source("fairness_transparency"))
+    queries = [r.sparql_text for r in recs if r.constraint_type == "sparql"]
+    assert queries and calls == queries
+    compile_block(recs, "fairness_transparency")
+    assert calls == queries
+    assert [r.query for r in recs if r.query] == [parse_sparql(t) for t in queries]
 
 
 # ---------------------------------------------------------------------------

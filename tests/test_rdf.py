@@ -481,6 +481,16 @@ def test_numeric_shorthand_only_for_valid_lexicals():
     assert 'ex:e "yes"^^xsd:boolean' in text
 
 
+def test_bare_doubles_round_trip():
+    # every double the serializer writes bare must read back as a double
+    g = Graph([Triple(EX.s, EX.term(f"p{i}"), Literal(lexical, XSD.double))
+               for i, lexical in enumerate(["1.e5", ".5e3", "-.5E-3", "2.5e0"])],
+              prefixes={"ex": EX.base})
+    text = serialize_turtle(g)
+    assert "ex:p0 1.e5 ;" in text and "ex:p1 .5e3 ;" in text
+    assert parse_turtle(text) == g
+
+
 def test_serialize_single_parent_bnode_inline():
     b = BlankNode("whatever")
     g = Graph([

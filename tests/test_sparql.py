@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracle
-from govshapes.errors import SparqlSyntaxError, UnboundVariableError
+from govshapes.errors import GovshapesError, SparqlSyntaxError, UnboundVariableError
 from govshapes.rdf import EX, RDF, XSD, BlankNode, Graph, Iri, Literal, Triple
 from govshapes.sparql import (
     Arith,
@@ -18,6 +18,7 @@ from govshapes.sparql import (
     SparqlQuery,
     TriplePattern,
     Var,
+    eval_expression,
     evaluate,
     parse_sparql,
 )
@@ -48,14 +49,18 @@ def test_parse_reference_query_structure():
 
 def test_parse_a_keyword_and_literals():
     query = q('SELECT $this WHERE { $this a ex:Decision ; '
-              'ex:label "x" ; ex:count 3 ; ex:rate 0.5 ; ex:big 1E3 ; ex:on true }')
+              'ex:label "x" ; ex:count 3 ; ex:rate 0.5 ; ex:big 1E3 ; ex:on true ; '
+              r'ex:esc "\u0041\t\"" ; ex:long """a "b"' '\n' 'c""" ; '
+              'ex:next ex:Decision. }')
     patterns = [c for c in query.clauses if isinstance(c, TriplePattern)]
     assert patterns[0].predicate == RDF.type
     assert patterns[0].object == EX.Decision
     objects = [p.object for p in patterns[1:]]
+    # the dot after the last prefixed name ends the statement, not the name
     assert objects == [Literal("x"), Literal("3", XSD.integer),
                        Literal("0.5", XSD.decimal), Literal("1E3", XSD.double),
-                       Literal("true", XSD.boolean)]
+                       Literal("true", XSD.boolean), Literal('A\t"'),
+                       Literal('a "b"\nc'), EX.Decision]
 
 
 def test_parse_iriref_and_var_positions():
@@ -105,10 +110,23 @@ def test_unsupported_keyword_case_insensitive():
     ("SELECT $this WHERE { FILTER(1 < 2 < 3) }", "expected"),
     ("SELECT $this WHERE { FILTER() }", "expected expression"),
     ("SELECT $this WHERE { $this ex:p @ }", "unexpected character"),
+    (r'SELECT $this WHERE { $this ex:p "a\qb" }', "unsupported escape"),
+    (r'SELECT $this WHERE { $this ex:p "\u00zz" }', r"bad \\u escape"),
+    ('SELECT $this WHERE { $this ex:p "open }', "unterminated string"),
+    ("SELECT $this WHERE { FILTER($this = ٣) }", "unexpected character"),
+    ("SELECT $this WHERE { FILTER($this = 7٣) }", "malformed numeric"),
+    ("SELECT $this WHERE { $this ex:p <rel> }", "relative IRI"),
+    ("SELECT $this WHERE { $this A ex:T }", "expected predicate term"),
 ])
 def test_syntax_errors(text, fragment):
     with pytest.raises(SparqlSyntaxError, match=fragment):
         q(text)
+
+
+def test_deep_nesting_is_a_syntax_error():
+    depth = 3000
+    with pytest.raises(SparqlSyntaxError, match="nesting too deep at offset"):
+        q("SELECT $this WHERE { FILTER(" + "(" * depth + "1" + ")" * depth + ") }")
 
 
 @pytest.mark.parametrize("text, fragment", [
@@ -120,6 +138,20 @@ def test_syntax_errors(text, fragment):
 def test_scope_errors(text, fragment):
     with pytest.raises((UnboundVariableError, SparqlSyntaxError), match=fragment):
         q(text)
+
+
+_QUERY_PIECES = st.sampled_from(
+    list(' {}().;,<>"\\?$:#+-eE07²') + [
+        '"""', "\\u00e9", "ex:", "SELECT $this WHERE {", "FILTER(", "BIND("])
+
+
+@given(st.lists(_QUERY_PIECES, max_size=24).map("".join))
+def test_parse_returns_query_or_govshapes_error(text):
+    try:
+        query = q(text)
+    except GovshapesError:
+        return
+    assert isinstance(query, SparqlQuery)
 
 
 def test_bind_target_must_be_fresh():
@@ -284,6 +316,17 @@ def test_arithmetic_rejects_booleans():
                     g, EX.d, diags)
     assert rows == []
     assert "expected a number" in diags[0].reason
+
+
+@pytest.mark.parametrize("op, expected", [
+    ("=", [False, True, False, False]), ("!=", [True, False, True, True]),
+    ("<", [True, False, False, False]), (">", [False, False, True, False]),
+    ("<=", [True, True, False, False]), (">=", [False, True, True, False]),
+])
+def test_numeric_comparisons_nan_included(op, expected):
+    pairs = [(1.0, 2.0), (2.0, 2.0), (3.0, 2.0), (float("nan"), 2.0)]
+    assert [eval_expression(Compare(op, NumConst(a), NumConst(b)), {})
+            for a, b in pairs] == expected
 
 
 def test_term_equality_comparisons():
