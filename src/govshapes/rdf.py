@@ -248,7 +248,7 @@ def union(a: Graph, b: Graph) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# Lexer (shared by Turtle and the SPARQL subset)
+# Lexer and parser cursor (shared by Turtle and the SPARQL subset)
 # ---------------------------------------------------------------------------
 
 _SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
@@ -396,18 +396,21 @@ def _token_term(text: str, tok: _Token, prefixes: dict[str, str],
     return None if datatype is None else Literal(tok.value, datatype)
 
 
-# ---------------------------------------------------------------------------
-# Turtle parser
-# ---------------------------------------------------------------------------
+class _Parser:
+    """A cursor over the tokens of one language (Turtle or the SPARQL subset).
 
-class _TurtleParser:
-    def __init__(self, source: str):
-        self.text = source
-        self.tokens = _tokenize(source, _TOKEN_RE, _syntax_error)
+    ``token_re`` and ``error`` are the language's token pattern and error
+    builder, as ``_tokenize`` takes them; ``prefixes`` resolves prefixed
+    names. A subclass supplies ``parse``.
+    """
+
+    def __init__(self, text: str, token_re: re.Pattern, error,
+                 prefixes: dict[str, str]):
+        self.text = text
+        self.error = error
+        self.prefixes = prefixes
+        self.tokens = _tokenize(text, token_re, error)
         self.idx = 0
-        self.graph = Graph()
-        self._bnode_counter = 0
-        self._doc_labels: dict[str, BlankNode] = {}
 
     def _peek(self) -> _Token:
         return self.tokens[self.idx]
@@ -416,6 +419,30 @@ class _TurtleParser:
         tok = self.tokens[self.idx]
         self.idx += 1
         return tok
+
+    def _term(self, tok: _Token) -> Iri | Literal | None:
+        return _token_term(self.text, tok, self.prefixes, self.error)
+
+    def run(self):
+        """``parse()``; nesting deeper than the interpreter's recursion
+        limit allows is a syntax error at the token where it stopped."""
+        try:
+            return self.parse()
+        except RecursionError:
+            tok = self.tokens[min(self.idx, len(self.tokens) - 1)]
+            raise self.error(self.text, tok.pos, "nesting too deep") from None
+
+
+# ---------------------------------------------------------------------------
+# Turtle parser
+# ---------------------------------------------------------------------------
+
+class _TurtleParser(_Parser):
+    def __init__(self, source: str):
+        self.graph = Graph()
+        super().__init__(source, _TOKEN_RE, _syntax_error, self.graph._prefixes)
+        self._bnode_counter = 0
+        self._doc_labels: dict[str, BlankNode] = {}
 
     def _expect(self, kind: str) -> _Token:
         tok = self._next()
@@ -465,9 +492,6 @@ class _TurtleParser:
         if label not in self._doc_labels:
             self._doc_labels[label] = self._fresh_bnode()
         return self._doc_labels[label]
-
-    def _term(self, tok: _Token) -> Iri | Literal | None:
-        return _token_term(self.text, tok, self.graph._prefixes, _syntax_error)
 
     def _iri_term(self) -> Iri:
         tok = self._next()
@@ -540,12 +564,7 @@ def parse_turtle(source: str) -> Graph:
     across documents. Nesting deeper than the interpreter's recursion
     limit allows is a syntax error.
     """
-    parser = _TurtleParser(source)
-    try:
-        return parser.parse()
-    except RecursionError:
-        tok = parser.tokens[min(parser.idx, len(parser.tokens) - 1)]
-        raise _syntax_error(source, tok.pos, "nesting too deep") from None
+    return _TurtleParser(source).run()
 
 
 # ---------------------------------------------------------------------------
@@ -645,16 +664,14 @@ class _Serializer:
             return (2, self.content_key(o))
         return term_sort_key(o)
 
+    def _predicate_objects(self, s: Term) -> list[str]:
+        """``p o1, o2`` for each predicate of ``s``, in canonical order."""
+        return [("a" if p == RDF.type else self._render_iri(p)) + " "
+                + ", ".join(self._render_object(o) for o in objs)
+                for p, objs in self._grouped(s)]
+
     def _subject_block(self, head: str, s: Term) -> str:
-        lines = []
-        for i, (p, objs) in enumerate(self._grouped(s)):
-            rendered = ", ".join(self._render_object(o) for o in objs)
-            pv = "a" if p == RDF.type else self._render_iri(p)
-            if i == 0:
-                lines.append(f"{head} {pv} {rendered}")
-            else:
-                lines.append(f"    {pv} {rendered}")
-        return " ;\n".join(lines) + " ."
+        return f"{head} " + " ;\n    ".join(self._predicate_objects(s)) + " ."
 
     def _render_object(self, o: Term) -> str:
         if isinstance(o, Iri):
@@ -666,14 +683,8 @@ class _Serializer:
         return self._render_inline_bnode(o)
 
     def _render_inline_bnode(self, b: BlankNode) -> str:
-        grouped = self._grouped(b)
-        if not grouped:
-            return "[]"
-        parts = []
-        for p, objs in grouped:
-            pv = "a" if p == RDF.type else self._render_iri(p)
-            parts.append(f"{pv} " + ", ".join(self._render_object(o) for o in objs))
-        return "[ " + " ; ".join(parts) + " ]"
+        parts = self._predicate_objects(b)
+        return "[ " + " ; ".join(parts) + " ]" if parts else "[]"
 
     def _render_iri(self, iri: Iri) -> str:
         for label, ns in self.ns_by_length:

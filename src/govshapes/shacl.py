@@ -430,48 +430,42 @@ def focus_nodes(graph: Graph, shape: NodeShape) -> list[Term]:
     return graph.subjects_of_type(shape.target_class)
 
 
+def _is_instance(graph: Graph, value: Term, cls: Iri) -> bool:
+    return not isinstance(value, Literal) and bool(graph.match(value, RDF.type, cls))
+
+
+def _rejected(constraint: Constraint, graph: Graph,
+              values: list[Term]) -> list[Term | None]:
+    """The values a structural constraint rejects; None stands for a failed count."""
+    if isinstance(constraint, MinCount):
+        failed = len(values) < constraint.count
+    elif isinstance(constraint, MaxCount):
+        failed = len(values) > constraint.count
+    elif isinstance(constraint, QualifiedMinCountClass):
+        failed = sum(_is_instance(graph, v, constraint.cls) for v in values) < constraint.count
+    elif isinstance(constraint, Datatype):
+        return [v for v in values
+                if not (isinstance(v, Literal) and v.datatype == constraint.datatype
+                        and v.language is None)]
+    elif isinstance(constraint, ClassConstraint):
+        return [v for v in values if not _is_instance(graph, v, constraint.cls)]
+    else:  # NodeKindIri
+        return [v for v in values if not isinstance(v, Iri)]
+    return [None] if failed else []
+
+
 def _check(constraint: Constraint, shape: NodeShape, graph: Graph, focus: Term,
            diagnostics: list[EvalDiagnostic]) -> list[Violation]:
+    if isinstance(constraint, SparqlConstraint):
+        found = [(row["this"], None, row.get("value"))
+                 for row in evaluate(constraint.query, graph, focus, diagnostics)]
+    else:
+        values = [t.object for t in graph.match(focus, constraint.path)]
+        found = [(focus, constraint.path, v)
+                 for v in _rejected(constraint, graph, values)]
     message = shape.constraint_message(constraint)
-    sev = shape.severity
-    out: list[Violation] = []
-    if isinstance(constraint, MinCount):
-        have = len(graph.match(focus, constraint.path))
-        if have < constraint.count:
-            out.append(Violation(shape.iri, focus, message, sev, constraint.path))
-    elif isinstance(constraint, MaxCount):
-        have = len(graph.match(focus, constraint.path))
-        if have > constraint.count:
-            out.append(Violation(shape.iri, focus, message, sev, constraint.path))
-    elif isinstance(constraint, Datatype):
-        for t in graph.match(focus, constraint.path):
-            v = t.object
-            if not (isinstance(v, Literal) and v.datatype == constraint.datatype
-                    and v.language is None):
-                out.append(Violation(shape.iri, focus, message, sev,
-                                     constraint.path, v))
-    elif isinstance(constraint, ClassConstraint):
-        for t in graph.match(focus, constraint.path):
-            v = t.object
-            if isinstance(v, Literal) or not graph.match(v, RDF.type, constraint.cls):
-                out.append(Violation(shape.iri, focus, message, sev,
-                                     constraint.path, v))
-    elif isinstance(constraint, NodeKindIri):
-        for t in graph.match(focus, constraint.path):
-            if not isinstance(t.object, Iri):
-                out.append(Violation(shape.iri, focus, message, sev,
-                                     constraint.path, t.object))
-    elif isinstance(constraint, QualifiedMinCountClass):
-        have = sum(1 for t in graph.match(focus, constraint.path)
-                   if not isinstance(t.object, Literal)
-                   and graph.match(t.object, RDF.type, constraint.cls))
-        if have < constraint.count:
-            out.append(Violation(shape.iri, focus, message, sev, constraint.path))
-    elif isinstance(constraint, SparqlConstraint):
-        for row in evaluate(constraint.query, graph, focus, diagnostics):
-            out.append(Violation(shape.iri, row["this"], message, sev,
-                                 value=row.get("value")))
-    return out
+    return [Violation(shape.iri, node, message, shape.severity, path, value)
+            for node, path, value in found]
 
 
 def validate(shapes: list[NodeShape], graph: Graph) -> ValidationReport:

@@ -30,8 +30,8 @@ import re
 from dataclasses import dataclass
 
 from .errors import SparqlSyntaxError, TypeMismatchError, UnboundVariableError
-from .rdf import (_CATCH_ALL, _TERMS, RDF, XSD, Graph, Iri, Literal, Term, _Token,
-                  _token_term, _tokenize, is_numeric_literal)
+from .rdf import (_CATCH_ALL, _TERMS, RDF, XSD, Graph, Iri, Literal, Term, _Parser,
+                  _Token, is_numeric_literal)
 
 Binding = dict[str, Term]
 
@@ -168,21 +168,15 @@ def _syntax_error(text: str, pos: int, message: str) -> SparqlSyntaxError:
 # the expression node for each kind of value a literal token evaluates to
 _CONSTANTS = {float: NumConst, bool: BoolConst}
 
+# binary operators by precedence, loosest first: (operators, node, chains)
+_BINARY = (({"=", "!=", "<", ">", "<=", ">="}, Compare, False),
+           ({"+", "-"}, Arith, True),
+           ({"*", "/"}, Arith, True))
 
-class _Parser:
+
+class _QueryParser(_Parser):
     def __init__(self, text: str, prefixes: dict[str, str]):
-        self.text = text
-        self.prefixes = prefixes
-        self.tokens = _tokenize(text, _TOKEN_RE, _syntax_error)
-        self.idx = 0
-
-    def _peek(self) -> _Token:
-        return self.tokens[self.idx]
-
-    def _next(self) -> _Token:
-        tok = self.tokens[self.idx]
-        self.idx += 1
-        return tok
+        super().__init__(text, _TOKEN_RE, _syntax_error, prefixes)
 
     def _expect_op(self, op: str) -> None:
         tok = self._next()
@@ -197,9 +191,6 @@ class _Parser:
         if upper in _UNSUPPORTED:
             raise SparqlSyntaxError(f"{upper} is not supported in constraint queries")
         return upper
-
-    def _term(self, tok: _Token) -> Iri | Literal | None:
-        return _token_term(self.text, tok, self.prefixes, _syntax_error)
 
     def _expect_keyword(self, kw: str) -> None:
         tok = self._next()
@@ -305,35 +296,21 @@ class _Parser:
         return FilterClause(expr)
 
     # -- expressions ---------------------------------------------------------
-    # precedence: comparison < additive < multiplicative < unary < primary
+    # precedence: the _BINARY levels < unary < primary
 
-    def _expression(self) -> Expression:
-        left = self._additive()
-        tok = self._peek()
-        if tok.kind == "op" and tok.value in ("=", "!=", "<", ">", "<=", ">="):
-            self._next()
-            right = self._additive()
-            return Compare(tok.value, left, right)
-        return left
-
-    def _additive(self) -> Expression:
-        left = self._multiplicative()
+    def _expression(self, level: int = 0) -> Expression:
+        """Operands of the next level joined by the operators of ``level``."""
+        ops, node, chains = _BINARY[level]
+        deeper = level + 1 < len(_BINARY)
+        left = self._expression(level + 1) if deeper else self._unary()
         while True:
             tok = self._peek()
-            if tok.kind == "op" and tok.value in ("+", "-"):
-                self._next()
-                left = Arith(tok.value, left, self._multiplicative())
-            else:
+            if tok.kind != "op" or tok.value not in ops:
                 return left
-
-    def _multiplicative(self) -> Expression:
-        left = self._unary()
-        while True:
-            tok = self._peek()
-            if tok.kind == "op" and tok.value in ("*", "/"):
-                self._next()
-                left = Arith(tok.value, left, self._unary())
-            else:
+            self._next()
+            right = self._expression(level + 1) if deeper else self._unary()
+            left = node(tok.value, left, right)
+            if not chains:
                 return left
 
     def _unary(self) -> Expression:
@@ -398,20 +375,17 @@ def _check_variable_scope(query: SparqlQuery) -> None:
             for part in (clause.subject, clause.predicate, clause.object):
                 if isinstance(part, Var):
                     bound.add(part.name)
-        elif isinstance(clause, BindClause):
-            missing = _expr_vars(clause.expression) - bound
-            if missing:
-                raise UnboundVariableError(
-                    f"BIND at clause {i} uses unbound variable ?{sorted(missing)[0]}")
+            continue
+        kind = "BIND" if isinstance(clause, BindClause) else "FILTER"
+        missing = _expr_vars(clause.expression) - bound
+        if missing:
+            raise UnboundVariableError(
+                f"{kind} at clause {i} uses unbound variable ?{sorted(missing)[0]}")
+        if kind == "BIND":
             if clause.var in bound:
                 raise SparqlSyntaxError(
                     f"BIND target ?{clause.var} is already bound")
             bound.add(clause.var)
-        elif isinstance(clause, FilterClause):
-            missing = _expr_vars(clause.expression) - bound
-            if missing:
-                raise UnboundVariableError(
-                    f"FILTER at clause {i} uses unbound variable ?{sorted(missing)[0]}")
     unbound_selects = set(query.select_vars) - bound
     if unbound_selects:
         raise UnboundVariableError(
@@ -427,12 +401,7 @@ def parse_sparql(text: str, prefixes: dict[str, str] | None = None) -> SparqlQue
     if prefixes is None:
         from .rdf import STANDARD_PREFIXES
         prefixes = STANDARD_PREFIXES
-    parser = _Parser(text, prefixes)
-    try:
-        return parser.parse()
-    except RecursionError:
-        tok = parser.tokens[min(parser.idx, len(parser.tokens) - 1)]
-        raise _syntax_error(text, tok.pos, "nesting too deep") from None
+    return _QueryParser(text, prefixes).run()
 
 
 # ---------------------------------------------------------------------------
@@ -568,34 +537,21 @@ def evaluate(query: SparqlQuery, graph: Graph, this: Term,
     for index, clause in enumerate(query.clauses):
         if isinstance(clause, TriplePattern):
             solutions = _join_pattern(clause, solutions, graph)
-        elif isinstance(clause, BindClause):
+        else:
             kept: list[Binding] = []
             for sol in solutions:
                 try:
                     value = eval_expression(clause.expression, sol)
+                    if isinstance(clause, FilterClause) and not isinstance(value, bool):
+                        raise TypeMismatchError(
+                            f"FILTER value is {_describe(value)}, not boolean")
                 except TypeMismatchError as exc:
                     if diagnostics is not None:
                         diagnostics.append(EvalDiagnostic(index, str(exc)))
                     continue
-                ext = dict(sol)
-                ext[clause.var] = _bind_term(value)
-                kept.append(ext)
-            solutions = kept
-        elif isinstance(clause, FilterClause):
-            kept = []
-            for sol in solutions:
-                try:
-                    value = eval_expression(clause.expression, sol)
-                except TypeMismatchError as exc:
-                    if diagnostics is not None:
-                        diagnostics.append(EvalDiagnostic(index, str(exc)))
-                    continue
-                if not isinstance(value, bool):
-                    if diagnostics is not None:
-                        diagnostics.append(EvalDiagnostic(
-                            index, f"FILTER value is {_describe(value)}, not boolean"))
-                    continue
-                if value:
+                if isinstance(clause, BindClause):
+                    kept.append({**sol, clause.var: _bind_term(value)})
+                elif value:
                     kept.append(sol)
             solutions = kept
         if not solutions:
