@@ -77,6 +77,11 @@ def _load_config(path: str | None) -> dict:
     unknown = set(config) - {"blocks_dir", "profiles_dir", "cases_dir"}
     if unknown:
         raise GovshapesError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    for key, value in config.items():
+        if value is not None and not isinstance(value, str):
+            raise GovshapesError(f"config key {key!r} must be a directory path")
+    if config.get("profiles_dir") and not config.get("blocks_dir"):
+        raise GovshapesError("config key 'profiles_dir' needs 'blocks_dir'")
     return config
 
 

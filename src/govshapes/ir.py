@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 import yaml
 
 from .errors import DuplicateIdError, SchemaError, UnknownPrefixError
-from .rdf import (EX, PROV, RDF, RDFS, STANDARD_PREFIXES, Graph, Iri, Triple,
-                  union)
+from .rdf import (_IRIREF_RE, _SCHEME_RE, EX, PROV, RDF, RDFS, STANDARD_PREFIXES,
+                  Graph, Iri, Triple, union)
 from .shacl import (Constraint, Datatype, MinCount, NodeShape,
                     QualifiedMinCountClass, Severity, SparqlConstraint,
                     _constraint_sort_key, emit_shapes_graph, qname)
@@ -74,18 +74,25 @@ class IrRecord:
 
 
 def _resolve_name(value: str, where: str) -> Iri:
-    """Resolve a prefixed name or absolute IRI reference."""
+    """Resolve a prefixed name or absolute IRI reference.
+
+    The result must be an IRI the Turtle reader accepts between ``<`` and
+    ``>``, so that compiled blocks always read back.
+    """
     if value.startswith("<") and value.endswith(">"):
-        return Iri(value[1:-1])
-    if ":" in value:
+        iri = value[1:-1]
+    elif ":" not in value:
+        raise SchemaError(f"{where}: {value!r} is not a prefixed name or IRI")
+    elif _SCHEME_RE.match(value) and value.split(":", 1)[1].startswith("//"):
+        iri = value  # already an absolute IRI like http://...
+    else:
         prefix, local = value.split(":", 1)
-        if re.match(r"^[A-Za-z][A-Za-z0-9+.\-]*$", prefix) and "//" in local[:2]:
-            return Iri(value)  # already an absolute IRI like http://...
-        ns = STANDARD_PREFIXES.get(prefix)
-        if ns is None:
+        if prefix not in STANDARD_PREFIXES:
             raise UnknownPrefixError(f"{where}: unknown prefix {prefix!r} in {value!r}")
-        return Iri(ns + local)
-    raise SchemaError(f"{where}: {value!r} is not a prefixed name or IRI")
+        iri = STANDARD_PREFIXES[prefix] + local
+    if not (_SCHEME_RE.match(iri) and _IRIREF_RE.fullmatch(iri)):
+        raise SchemaError(f"{where}: {value!r} is not a valid absolute IRI")
+    return Iri(iri)
 
 
 def _need_str(item: dict, key: str, where: str) -> str:

@@ -252,6 +252,8 @@ def union(a: Graph, b: Graph) -> Graph:
 # ---------------------------------------------------------------------------
 
 _SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
+_IRIREF = r"[^<> \t\r\n]*"  # what may stand between '<' and '>'
+_IRIREF_RE = re.compile(_IRIREF)
 _PN_LOCAL_RE = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_.\-]*$")
 _DOUBLE = r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)[eE][+-]?[0-9]+"
 _INTEGER_RE = re.compile(r"^[+-]?[0-9]+$")
@@ -273,7 +275,7 @@ _TERMS = rf'''
     (?P<skip>(?:[ \t\r\n]|\#[^\n]*)+)
   | (?P<pname>{_NAME}:{_LOCAL})
   | (?P<string>"""(?:[^"\\]|\\[\s\S]|"(?!""))*"""|"(?!"")(?:[^"\\\n]|\\.)*")
-  | <(?P<iriref>[^<> \t\r\n]*)>
+  | <(?P<iriref>{_IRIREF})>
   | (?P<number>{_DOUBLE}|[+-]?[0-9]+(?:\.[0-9]+)?|[+-]\.[0-9]+)
 '''
 _CATCH_ALL = r'''
@@ -292,7 +294,7 @@ _TOKEN_RE = re.compile(_TERMS + rf'''
   | @(?P<lang>[^\W\d_]+(?:-[^\W_]+)*)
   | _:(?P<blank>\w+)
   | (?P<dcaret>\^\^)
-  | (?P<unterminated_iri><[^<> \t\r\n]*\Z)
+  | (?P<unterminated_iri><{_IRIREF}\Z)
   | (?P<bad_iri><)
   | (?P<collection>[()])
   | (?P<bad_at>@)
@@ -318,8 +320,9 @@ _LITERAL_DATATYPES = {"string": XSD.string, "integer": XSD.integer,
                       "decimal": XSD.decimal, "double": XSD.double,
                       "boolean": XSD.boolean}
 _WORD_RE = re.compile(r"\w")
-_ESCAPE_RE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|([\s\S]))")
-_ESCAPES = {"t": "\t", "n": "\n", '"': '"', "\\": "\\"}
+_ESCAPE_RE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|([\s\S]))")
+_ESCAPES = {"t": "\t", "n": "\n", "r": "\r", "b": "\b", "f": "\f",
+            '"': '"', "'": "'", "\\": "\\"}
 
 
 class _Token(NamedTuple):
@@ -335,12 +338,14 @@ def _syntax_error(text: str, pos: int, message: str) -> TurtleSyntaxError:
 
 
 def _unescape(m: re.Match) -> str:
-    code, char = m.groups()
-    if code is not None:
+    """The character an ECHAR or UCHAR escape stands for."""
+    code = m[1] or m[2]
+    if code is not None and int(code, 16) <= 0x10FFFF:
         return chr(int(code, 16))
+    char = m[0][1]
     if char in _ESCAPES:
         return _ESCAPES[char]
-    raise ValueError("bad \\u escape" if char == "u"
+    raise ValueError(f"bad \\{char} escape" if char in "uU"
                      else f"unsupported escape '\\{char}'")
 
 

@@ -173,10 +173,16 @@ _BINARY = (({"=", "!=", "<", ">", "<=", ">="}, Compare, False),
            ({"+", "-"}, Arith, True),
            ({"*", "/"}, Arith, True))
 
+# The deepest an expression may nest; each sign, parenthesis and ABS/IF
+# argument list is one level. A parsed query is hashed, compared and
+# evaluated recursively, so this bound keeps all three within the stack.
+_MAX_NESTING = 100
+
 
 class _QueryParser(_Parser):
     def __init__(self, text: str, prefixes: dict[str, str]):
         super().__init__(text, _TOKEN_RE, _syntax_error, prefixes)
+        self.depth = 0  # expression levels around the next operand
 
     def _expect_op(self, op: str) -> None:
         tok = self._next()
@@ -315,13 +321,18 @@ class _QueryParser(_Parser):
 
     def _unary(self) -> Expression:
         tok = self._peek()
-        if tok.kind == "op" and tok.value == "-":
+        if self.depth > _MAX_NESTING:
+            raise _syntax_error(self.text, tok.pos, "nesting too deep")
+        self.depth += 1
+        if tok.kind == "op" and tok.value in ("-", "+"):
             self._next()
-            return Neg(self._unary())
-        if tok.kind == "op" and tok.value == "+":
-            self._next()
-            return self._unary()
-        return self._primary()
+            expr = self._unary()
+            if tok.value == "-":
+                expr = Neg(expr)
+        else:
+            expr = self._primary()
+        self.depth -= 1
+        return expr
 
     def _primary(self) -> Expression:
         tok = self._next()

@@ -74,6 +74,18 @@ def test_compile_deeply_nested_query_exits_two(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["ex:Decision Record", "<rel>"])
+def test_compile_rejects_names_the_reader_rejects(tmp_path, capsys, name):
+    src = tmp_path / "bad.ir.yaml"
+    src.write_text(corpus.block_source("logging").replace("ex:Decision", name, 1),
+                   "utf-8")
+    out = tmp_path / "bad.ttl"
+    assert main(["compile", str(src), "-o", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: record 'A1' target_class: {name!r} is not a valid absolute IRI\n")
+    assert not out.exists()
+
+
 def test_compile_missing_input_file(tmp_path, capsys):
     assert main(["compile", str(tmp_path / "nope.ir.yaml"),
                  "-o", str(tmp_path / "out.ttl")]) == 2
@@ -378,6 +390,19 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     config.write_text(json.dumps({"blocks_dir": ".", "extra": 1}), "utf-8")
     assert main(["compose", "logging", "--config", str(config)]) == 2
     assert "unknown config keys: extra" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("settings, message", [
+    ({"profiles_dir": "."}, "config key 'profiles_dir' needs 'blocks_dir'"),
+    ({"blocks_dir": 5}, "config key 'blocks_dir' must be a directory path"),
+])
+def test_config_errors_exit_two(tmp_path, capsys, settings, message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(settings), "utf-8")
+    case = write_case(tmp_path, "conform")
+    assert main(["validate", str(case), "--profile", "Fairness",
+                 "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_config_rejects_bad_json(tmp_path, capsys):

@@ -129,6 +129,9 @@ def test_threshold_ref_outside_standard_prefixes_inlines_the_iri():
     (MINIMAL + "      min_count: -1\n", "must be a non-negative integer"),
     (MINIMAL + "      min_count: 1.5\n", "must be a non-negative integer"),
     (MINIMAL.replace("ex:Decision", "Decision"), "not a prefixed name or IRI"),
+    (MINIMAL.replace("ex:Decision", "ex:Decision Record"), "not a valid absolute IRI"),
+    (MINIMAL.replace("ex:Decision", "<rel>"), "not a valid absolute IRI"),
+    (MINIMAL.replace("ex:Decision", "http://a.test/x>y"), "not a valid absolute IRI"),
     ("""
      - obligation_id: R1
        target_class: ex:T

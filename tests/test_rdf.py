@@ -260,6 +260,16 @@ def test_parse_string_escapes():
     assert t.object == Literal('line\nbreak\ttab"quote\\slashA')
 
 
+def test_w3c_string_escapes_round_trip():
+    g = parse_turtle("@prefix ex: <http://example.org/okb#> .\n"
+                     r'ex:s ex:p "cr\rbs\bff\f\'q\U0001F600\u0041" .')
+    (t,) = list(g)
+    assert t.object == Literal("cr\rbs\bff\f'q\U0001F600A")
+    text = serialize_turtle(g)
+    assert r'"cr\u000Dbs' in text  # CR is still written as \u000D
+    assert parse_turtle(text) == g
+
+
 def test_parse_long_string_spans_lines():
     g = parse_turtle('@prefix ex: <http://example.org/okb#> .\n'
                      'ex:s ex:p """first\nsecond "quoted" third""" .')
@@ -353,6 +363,8 @@ def test_parse_absolute_iriref():
     ("<http://s.test/s> <http://p.test/p> <http://o", "unterminated IRI"),
     (r'<http://s.test/s> <http://p.test/p> "bad\qescape" .', "unsupported escape"),
     (r'<http://s.test/s> <http://p.test/p> "bad\u00zz" .', "bad \\u escape"),
+    (r'<http://s.test/s> <http://p.test/p> "\U0001F6" .', "bad \\U escape"),
+    (r'<http://s.test/s> <http://p.test/p> "\U00110000" .', "bad \\U escape"),
     ("<http://s.test/s> <http://p.test/p> 12abc .", "malformed numeric"),
     ("<http://s.test/s> <http://p.test/p> 1e .", "malformed numeric"),
     ("<http://s.test/s> <http://p.test/p> _: .", "blank node label expected"),

@@ -50,7 +50,8 @@ def test_parse_reference_query_structure():
 def test_parse_a_keyword_and_literals():
     query = q('SELECT $this WHERE { $this a ex:Decision ; '
               'ex:label "x" ; ex:count 3 ; ex:rate 0.5 ; ex:big 1E3 ; ex:on true ; '
-              r'ex:esc "\u0041\t\"" ; ex:long """a "b"' '\n' 'c""" ; '
+              r'ex:esc "\u0041\t\"" ; ex:w3c "\r\b\f\'\U0001F600" ; '
+              'ex:long """a "b"' '\n' 'c""" ; '
               'ex:next ex:Decision. }')
     patterns = [c for c in query.clauses if isinstance(c, TriplePattern)]
     assert patterns[0].predicate == RDF.type
@@ -60,6 +61,7 @@ def test_parse_a_keyword_and_literals():
     assert objects == [Literal("x"), Literal("3", XSD.integer),
                        Literal("0.5", XSD.decimal), Literal("1E3", XSD.double),
                        Literal("true", XSD.boolean), Literal('A\t"'),
+                       Literal("\r\b\f'\U0001F600"),
                        Literal('a "b"\nc'), EX.Decision]
 
 
@@ -112,11 +114,15 @@ def test_unsupported_keyword_case_insensitive():
     ("SELECT $this WHERE { $this ex:p @ }", "unexpected character"),
     (r'SELECT $this WHERE { $this ex:p "a\qb" }', "unsupported escape"),
     (r'SELECT $this WHERE { $this ex:p "\u00zz" }', r"bad \\u escape"),
+    (r'SELECT $this WHERE { $this ex:p "\U00110000" }', r"bad \\U escape"),
     ('SELECT $this WHERE { $this ex:p "open }', "unterminated string"),
     ("SELECT $this WHERE { FILTER($this = ٣) }", "unexpected character"),
     ("SELECT $this WHERE { FILTER($this = 7٣) }", "malformed numeric"),
     ("SELECT $this WHERE { $this ex:p <rel> }", "relative IRI"),
     ("SELECT $this WHERE { $this A ex:T }", "expected predicate term"),
+    # 600 signs used to parse, and then hash() and == overflowed the stack
+    ("SELECT $this WHERE { FILTER(" + "- " * 600 + "1 = 1) }",
+     "nesting too deep at offset 230"),
 ])
 def test_syntax_errors(text, fragment):
     with pytest.raises(SparqlSyntaxError, match=fragment):
@@ -127,6 +133,17 @@ def test_deep_nesting_is_a_syntax_error():
     depth = 3000
     with pytest.raises(SparqlSyntaxError, match="nesting too deep at offset"):
         q("SELECT $this WHERE { FILTER(" + "(" * depth + "1" + ")" * depth + ") }")
+
+
+def test_expression_at_the_nesting_bound_hashes_compares_and_evaluates():
+    # fifty signs and fifty parentheses make one hundred levels
+    text = "SELECT $this WHERE { FILTER(" + "-(" * 50 + "1" + ")" * 50 + " = 1) }"
+    query = q(text)
+    assert hash(query) == hash(q(text))
+    assert query == q(text)
+    assert evaluate(query, Graph(), EX.d) == [{"this": EX.d}]
+    with pytest.raises(SparqlSyntaxError, match="nesting too deep"):
+        q(text.replace("1)", "- 1)", 1))
 
 
 @pytest.mark.parametrize("text, fragment", [
