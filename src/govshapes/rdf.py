@@ -386,21 +386,6 @@ def _tokenize(text: str, token_re: re.Pattern, error) -> list[_Token]:
     return tokens
 
 
-def _token_term(text: str, tok: _Token, prefixes: dict[str, str],
-                error) -> Iri | Literal | None:
-    """The IRI or literal ``tok`` stands for, or None for any other token."""
-    if tok.kind == "iriref":
-        return Iri(tok.value)
-    if tok.kind == "pname":
-        prefix, _, local = tok.value.partition(":")
-        ns = prefixes.get(prefix)
-        if ns is None:
-            raise error(text, tok.pos, f"undefined prefix '{prefix}:'")
-        return Iri(ns + local)
-    datatype = _LITERAL_DATATYPES.get(tok.kind)
-    return None if datatype is None else Literal(tok.value, datatype)
-
-
 class _Parser:
     """A cursor over the tokens of one language (Turtle or the SPARQL subset).
 
@@ -426,7 +411,17 @@ class _Parser:
         return tok
 
     def _term(self, tok: _Token) -> Iri | Literal | None:
-        return _token_term(self.text, tok, self.prefixes, self.error)
+        """The IRI or literal ``tok`` stands for, or None for any other token."""
+        if tok.kind == "iriref":
+            return Iri(tok.value)
+        if tok.kind == "pname":
+            prefix, _, local = tok.value.partition(":")
+            ns = self.prefixes.get(prefix)
+            if ns is None:
+                raise self.error(self.text, tok.pos, f"undefined prefix '{prefix}:'")
+            return Iri(ns + local)
+        datatype = _LITERAL_DATATYPES.get(tok.kind)
+        return None if datatype is None else Literal(tok.value, datatype)
 
     def run(self):
         """``parse()``; nesting deeper than the interpreter's recursion
