@@ -434,24 +434,29 @@ def _is_instance(graph: Graph, value: Term, cls: Iri) -> bool:
     return not isinstance(value, Literal) and bool(graph.match(value, RDF.type, cls))
 
 
-def _rejected(constraint: Constraint, graph: Graph,
-              values: list[Term]) -> list[Term | None]:
-    """The values a structural constraint rejects; None stands for a failed count."""
+def _failures(constraint: Constraint, graph: Graph, focus: Term,
+              triples: list[Triple]) -> list[tuple[Term, Iri, Term | None]]:
+    """(focus, path, value) for each way a structural constraint fails on
+    the focus node's path triples; the value is None where a count fails."""
+    path = constraint.path
     if isinstance(constraint, MinCount):
-        failed = len(values) < constraint.count
+        failed = len(triples) < constraint.count
     elif isinstance(constraint, MaxCount):
-        failed = len(values) > constraint.count
+        failed = len(triples) > constraint.count
     elif isinstance(constraint, QualifiedMinCountClass):
-        failed = sum(_is_instance(graph, v, constraint.cls) for v in values) < constraint.count
+        failed = sum(_is_instance(graph, t.object, constraint.cls)
+                     for t in triples) < constraint.count
     elif isinstance(constraint, Datatype):
-        return [v for v in values
-                if not (isinstance(v, Literal) and v.datatype == constraint.datatype
-                        and v.language is None)]
+        return [(focus, path, t.object) for t in triples
+                if not (isinstance(t.object, Literal)
+                        and t.object.datatype == constraint.datatype
+                        and t.object.language is None)]
     elif isinstance(constraint, ClassConstraint):
-        return [v for v in values if not _is_instance(graph, v, constraint.cls)]
+        return [(focus, path, t.object) for t in triples
+                if not _is_instance(graph, t.object, constraint.cls)]
     else:  # NodeKindIri
-        return [v for v in values if not isinstance(v, Iri)]
-    return [None] if failed else []
+        return [(focus, path, t.object) for t in triples if not isinstance(t.object, Iri)]
+    return [(focus, path, None)] if failed else []
 
 
 def _check(constraint: Constraint, shape: NodeShape, graph: Graph, focus: Term,
@@ -460,9 +465,9 @@ def _check(constraint: Constraint, shape: NodeShape, graph: Graph, focus: Term,
         found = [(row["this"], None, row.get("value"))
                  for row in evaluate(constraint.query, graph, focus, diagnostics)]
     else:
-        values = [t.object for t in graph.match(focus, constraint.path)]
-        found = [(focus, constraint.path, v)
-                 for v in _rejected(constraint, graph, values)]
+        found = _failures(constraint, graph, focus, graph.match(focus, constraint.path))
+    if not found:
+        return []
     message = shape.constraint_message(constraint)
     return [Violation(shape.iri, node, message, shape.severity, path, value)
             for node, path, value in found]
