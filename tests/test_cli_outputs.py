@@ -6,7 +6,7 @@ data, the exit status and the sha256 of stdout (and of the file that
 that table. Rebuild it with ``PYTHONPATH=src python3 tests/test_cli_outputs.py``.
 
 In a run, ``{data}`` stands for the package data directory and ``{tmp}``
-for a scratch directory; ``compile`` prints its output path, which the
+for a temporary directory; ``compile`` prints its output path, which the
 table records as ``{tmp}``.
 """
 

@@ -148,7 +148,7 @@ def work(inputs_path: str, outcomes_path: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Driver
+# Comparison of the two sides
 # ---------------------------------------------------------------------------
 
 def _run_side(src: Path, inputs_path: Path, outcomes_path: Path) -> dict:
