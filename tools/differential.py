@@ -85,7 +85,7 @@ def _mutate(rng: random.Random, text: str) -> str:
             text = text[:j] + text[i:j] + text[j:]
         elif text:
             i = min(i, len(text) - 1)
-            text = text[:i] + rng.choice(rng.choice(PIECES) or " ") + text[i + 1:]
+            text = text[:i] + rng.choice(rng.choice(PIECES)) + text[i + 1:]
     return text
 
 
