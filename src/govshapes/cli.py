@@ -53,12 +53,13 @@ def _sha256_file(path: Path) -> str:
 
 
 def _append_run_record(log_path: str, command: list[str],
-                       inputs: dict[str, str], report_hash: str) -> None:
+                       inputs: dict[str, str], report_hash: str, **counts: int) -> None:
     record = {
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "command": " ".join(command),
         "inputs": inputs,
         "report_hash": report_hash,
+        **counts,
     }
     with open(log_path, "a", encoding="utf-8") as fh:
         fh.write(json.dumps(record, sort_keys=True) + "\n")
@@ -158,10 +159,15 @@ def cmd_validate(args) -> int:
     else:
         for v in report.violations:
             print(f"{qname(v.source_shape)}\t{_term_str(v.focus_node)}\t{v.message}")
+    # a solution a type error eliminated may hide a violation
+    for d in report.diagnostics:
+        print(f"warning: query clause {d.clause_index} eliminated a solution: "
+              f"{d.reason}", file=sys.stderr)
     if args.run_log:
         _append_run_record(args.run_log, args.argv,
                            {str(case_path): _sha256_file(case_path)},
-                           _sha256_bytes(report_text.encode("utf-8")))
+                           _sha256_bytes(report_text.encode("utf-8")),
+                           diagnostics=len(report.diagnostics))
     return 0 if report.conforms else 1
 
 

@@ -39,6 +39,11 @@ _FIELDS = {
 _STRUCTURAL_ONLY = {"relation", "datatype", "value_class", "min_count"}
 _SPARQL_ONLY = {"sparql_text", "threshold_ref"}
 
+# libyaml's parser when PyYAML was built with it. Both construct through
+# SafeConstructor with the same resolver; libyaml also takes the tabs YAML
+# 1.1 allows inside plain scalars, which PyYAML's own scanner rejects.
+_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
 
 def merge_severity(a: Severity, b: Severity) -> Severity:
     """The stricter of two severities (Violation > Warning > Info)."""
@@ -111,9 +116,13 @@ def parse_ir(text: str) -> list[IrRecord]:
     duplicated obligation id.
     """
     try:
-        doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+        doc = yaml.load(text, Loader=_LOADER)
+    except (yaml.YAMLError, ValueError) as exc:
+        # ValueError: libyaml cannot encode a lone surrogate, and
+        # SafeConstructor rejects values such as a 13th month this way
         raise SchemaError(f"not parseable as YAML: {exc}") from exc
+    except RecursionError:
+        raise SchemaError("not parseable as YAML: nesting too deep") from None
     if doc is None:
         return []
     if not isinstance(doc, list):
@@ -162,7 +171,7 @@ def _build_record(item: dict, where: str) -> IrRecord:
 
     wrong_family = (_SPARQL_ONLY if constraint_type == "structural"
                     else _STRUCTURAL_ONLY)
-    for key in wrong_family & set(item):
+    for key in sorted(wrong_family & set(item)):
         raise SchemaError(f"{where}: field {key!r} does not apply to "
                           f"{constraint_type} records")
 

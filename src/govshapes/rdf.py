@@ -575,6 +575,7 @@ class _Serializer:
     def __init__(self, graph: Graph):
         self.graph = graph
         self.used_prefixes: set[str] = set()
+        self.iri_texts: dict[str, str] = {}  # IRI value -> its rendering
         # longest-namespace-first so nested namespaces resolve correctly
         self.ns_by_length = sorted(graph.prefixes.items(),
                                    key=lambda kv: (-len(kv[1]), kv[0]))
@@ -661,7 +662,8 @@ class _Serializer:
 
     def _object_sort_key(self, o: Term) -> tuple:
         if isinstance(o, BlankNode):
-            return (2, self.content_key(o))
+            # the label breaks ties between a labelled and an inline node
+            return (2, self.content_key(o), self.labels.get(o, ""))
         return term_sort_key(o)
 
     def _predicate_objects(self, s: Term) -> list[str]:
@@ -687,14 +689,20 @@ class _Serializer:
         return "[ " + " ; ".join(parts) + " ]" if parts else "[]"
 
     def _render_iri(self, iri: Iri) -> str:
+        text = self.iri_texts.get(iri.value)
+        if text is not None:
+            return text
+        text = f"<{iri.value}>"
         for label, ns in self.ns_by_length:
             if not iri.value.startswith(ns):
                 continue
             local = iri.value[len(ns):]
             if local and _PN_LOCAL_RE.match(local) and not local.endswith("."):
                 self.used_prefixes.add(label)
-                return f"{label}:{local}"
-        return f"<{iri.value}>"
+                text = f"{label}:{local}"
+                break
+        self.iri_texts[iri.value] = text
+        return text
 
     def _render_literal(self, lit: Literal) -> str:
         if lit.language is not None:

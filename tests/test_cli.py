@@ -176,6 +176,26 @@ def test_validate_run_log_hashes_the_report_graph(tmp_path, capsys):
     assert record["inputs"] == {
         str(case): hashlib.sha256(case.read_bytes()).hexdigest()}
     assert record["command"].startswith("validate ")
+    assert record["diagnostics"] == 0
+
+
+def test_validate_prints_diagnostics_to_stderr(tmp_path, capsys):
+    # "seventy" is no decimal: the disparity query drops the solution
+    case = write_case(tmp_path, "disparity_exceeds")
+    text = case.read_text("utf-8")
+    assert "ex:allocatedGPUHoursGroupB 70.0" in text
+    case.write_text(text.replace("ex:allocatedGPUHoursGroupB 70.0",
+                                 'ex:allocatedGPUHoursGroupB "seventy"^^xsd:decimal'),
+                    "utf-8")
+    log = tmp_path / "runs.jsonl"
+    assert main(["validate", str(case), "--profile", "Fairness",
+                 "--run-log", str(log)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("warning: query clause 3 eliminated a solution: "
+                            "literal 'seventy' is not a valid number\n")
+    (record,) = [json.loads(line) for line in log.read_text().splitlines()]
+    assert record["diagnostics"] == 1
 
 
 def test_validate_unknown_profile(tmp_path, capsys):

@@ -1,12 +1,17 @@
 """Obligation record parsing and block compilation."""
 
+import importlib.util
+import random
+import sys
+from pathlib import Path
 from textwrap import dedent
 
 import pytest
+import yaml
 
-from govshapes.corpus import block_source
-from govshapes.errors import (DuplicateIdError, SchemaError, SparqlSyntaxError,
-                              UnknownPrefixError)
+from govshapes.corpus import BLOCK_NAMES, block_source
+from govshapes.errors import (DuplicateIdError, GovshapesError, SchemaError,
+                              SparqlSyntaxError, UnknownPrefixError)
 from govshapes.ir import (IrRecord, KnowledgeBlock, compile_block, empty_block,
                           merge_severity, parse_ir)
 from govshapes.rdf import EX, PROV, RDF, RDFS, XSD, Iri, serialize_turtle
@@ -140,6 +145,9 @@ def test_threshold_ref_outside_standard_prefixes_inlines_the_iri():
        message: M.
        sparql_text: SELECT $this WHERE { $this ex:p ?v }
      """, "does not apply to sparql records"),
+    # the first wrong field by name, whatever the string hash seed
+    (MINIMAL + "      threshold_ref: ex:t\n      sparql_text: x\n",
+     "field 'sparql_text' does not apply to structural records"),
     ("""
      - obligation_id: R1
        target_class: ex:T
@@ -161,6 +169,30 @@ def test_parse_rejects_unknown_prefix():
 def test_parse_rejects_unparseable_yaml():
     with pytest.raises(SchemaError, match="not parseable as YAML"):
         parse_ir("- foo: [unclosed")
+
+
+@pytest.mark.parametrize("source", [
+    "- message: lone \ud800 surrogate",
+    "- message: !!int x",
+    "- message: 2001-13-01",
+])
+def test_parse_rejects_values_yaml_cannot_build(source):
+    with pytest.raises(SchemaError, match="not parseable as YAML"):
+        parse_ir(source)
+
+
+@pytest.mark.parametrize("depth", [600, 5000])
+def test_parse_deep_nesting_is_a_schema_error(depth):
+    with pytest.raises(SchemaError):
+        parse_ir("[" * depth + "]" * depth)
+
+
+def test_parse_merge_keys_nested_too_deep():
+    # SafeConstructor flattens merge keys recursively, whichever parser
+    # built the nodes
+    depth = 5000
+    with pytest.raises(SchemaError, match="nesting too deep"):
+        parse_ir("- <<: " + "{<<: " * depth + "{a: 1}" + "}" * depth)
 
 
 def test_parse_rejects_duplicate_ids():
@@ -211,6 +243,68 @@ def test_each_query_is_parsed_once(monkeypatch):
     compile_block(recs, "fairness_transparency")
     assert calls == queries
     assert [r.query for r in recs if r.query] == [parse_sparql(t) for t in queries]
+
+
+# ---------------------------------------------------------------------------
+# Loader parity: libyaml's parser against PyYAML's own, the reference
+# ---------------------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+libyaml = pytest.mark.skipif(not yaml.__with_libyaml__,
+                             reason="PyYAML was built without libyaml")
+
+
+def _module(monkeypatch, relative: str):
+    """Import a repository script by path, for this test only."""
+    spec = importlib.util.spec_from_file_location(Path(relative).stem, ROOT / relative)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def _parse_with_each_loader(monkeypatch, text: str) -> list:
+    """``parse_ir``'s records, or its GovshapesError, per loader; any other
+    exception fails the test."""
+    outcomes = []
+    for loader in (yaml.SafeLoader, yaml.CSafeLoader):
+        monkeypatch.setattr("govshapes.ir._LOADER", loader)
+        try:
+            outcomes.append(parse_ir(text))
+        except GovshapesError as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+@libyaml
+def test_loaders_build_equal_records(monkeypatch):
+    generate = _module(monkeypatch, "perfbench/generate.py")
+    sources = [block_source(name) for name in BLOCK_NAMES]
+    sources += [text for s in generate.obligation_sets(1) for text in s.texts]
+    for text in sources:
+        reference, fast = _parse_with_each_loader(monkeypatch, text)
+        assert isinstance(reference, list) and fast == reference
+
+
+@libyaml
+def test_loaders_agree_on_mutated_sources(monkeypatch):
+    differential = _module(monkeypatch, "tools/differential.py")
+    rng = random.Random(5)
+    bases = [block_source(name) for name in BLOCK_NAMES]
+    fairness = block_source("fairness")
+    inputs = [fairness.replace("Decision", "Deci\ud800sion"),
+              fairness.replace("message: ", "message:\t"),
+              fairness.replace(" ex:Decision", " ex:Deci\tsion"),
+              "[" * 600 + "]" * 600]
+    inputs += [differential.mutate(rng, rng.choice(bases), differential.BLOCK_PIECES)
+               for _ in range(300)]
+    both_accept = 0
+    for text in inputs:
+        reference, fast = _parse_with_each_loader(monkeypatch, text)
+        if isinstance(reference, list) and isinstance(fast, list):
+            assert fast == reference
+            both_accept += 1
+    assert both_accept > 50
 
 
 # ---------------------------------------------------------------------------

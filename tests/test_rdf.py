@@ -542,6 +542,28 @@ def test_serialize_cyclic_bnodes_round_trip():
     assert serialize_turtle(reparsed) == text
 
 
+def test_serialize_orders_labelled_and_inline_bnodes_by_label():
+    # an inline [ ex:A ex:A ] and the labelled _:x have equal content keys
+    statements = ["ex:A ex:A [ ex:A ex:A ], [ ex:A ex:A ], [ ex:A ex:A ], _:x .",
+                  "ex:B ex:B _:x .", "_:x ex:A ex:A ."]
+    texts = {serialize_turtle(parse_turtle(
+                 "@prefix ex: <http://example.org/> .\n" + "\n".join(order)))
+             for order in itertools.permutations(statements)}
+    assert texts == {"@prefix ex: <http://example.org/> .\n\n"
+                     "ex:A ex:A [ ex:A ex:A ], [ ex:A ex:A ], [ ex:A ex:A ], _:c0 .\n\n"
+                     "ex:B ex:B _:c0 .\n\n"
+                     "_:c0 ex:A ex:A .\n"}
+
+
+def test_serialize_renders_iris_per_graph_prefixes():
+    triple = Triple(Iri("http://n.test/a"), EX.p, Iri("http://n.test/a"))
+    one = Graph([triple], prefixes={"ex": EX.base, "n": "http://n.test/"})
+    two = Graph([triple], prefixes={"ex": EX.base})
+    assert serialize_turtle(one).endswith("n:a ex:p n:a .\n")
+    assert serialize_turtle(two).endswith("<http://n.test/a> ex:p <http://n.test/a> .\n")
+    assert "@prefix n:" not in serialize_turtle(two)
+
+
 def test_serialize_root_bnode_uses_bracket_head():
     b = BlankNode("root")
     g = Graph([Triple(b, EX.p, EX.o)], prefixes={"ex": EX.base})

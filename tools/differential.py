@@ -1,24 +1,32 @@
-"""Seeded mutation differential of the Turtle and query front ends.
+"""Seeded mutation differential of the Turtle, query and block-source front ends.
 
 Usage::
 
     python3 tools/differential.py PARENT_SRC CHANGE_SRC [--mutations N] [--seed S]
 
 ``PARENT_SRC`` and ``CHANGE_SRC`` are the ``src`` directories of two
-checkouts. The script mutates the bundled evidence cases and the
-constraint queries (the bundled ones, and those ``perfbench/generate.py``
-writes for seeds 1-10) ``N`` times each, runs every input through each
-side in a fresh interpreter, and prints how many inputs gave the same
-outcome on both sides, then each class of differing outcomes with its
-count and one example input.
+checkouts. The script mutates the bundled evidence cases, the constraint
+queries (the bundled ones, and those ``perfbench/generate.py`` writes for
+seeds 1-10) and the block sources (the bundled ``.ir.yaml`` files, and the
+record files ``perfbench/generate.py`` writes for seed 1) ``N`` times
+each, runs every input through each side (one fresh interpreter per
+side, the two at once), and prints how many inputs gave the same outcome
+on both sides, then each class of differing outcomes with its count and
+one example input.
 
 An outcome is either a value or an exception. A Turtle input's value is
 a digest of its triples, prefixes and canonical serialization and of
 its report graph and diagnostics under every bundled profile. A query's
 value is a digest of its parse, of ``hash`` and ``==`` against a second
 parse, and of its solutions and diagnostics for every focus node of the
-bundled cases. An exception is its class and message; a class of
-differing outcomes names both sides, with digits in messages blanked.
+bundled cases. A block source's value is a digest of its parsed records.
+An exception is its class and message; a class of differing outcomes
+names both sides by the first line of each message, with digits
+blanked.
+
+Inputs are generated from the seed, not stored: each side and the final
+comparison regenerate the same sequence, so a run over large record
+files holds one input at a time.
 """
 
 from __future__ import annotations
@@ -33,11 +41,13 @@ import subprocess
 import sys
 import tempfile
 from collections import Counter
+from itertools import groupby
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "src" / "govshapes" / "data"
 QUERY_SEEDS = range(1, 11)
+BLOCK_SEED = 1
 
 # What one edit may insert: punctuation, terms, escapes, keywords, layout
 # characters either lexer may reject, and runs deep enough to nest past
@@ -52,6 +62,20 @@ PIECES = (
     "*", "/", "true", "OPTIONAL", "- " * 150, "(" * 60, "[ ex:p " * 60,
 )
 
+# The same for YAML block sources: indicators, tags, anchors, merge keys,
+# layout (tabs among it), characters no YAML reader accepts (a lone
+# surrogate, NUL), record fields and values, and nesting past any
+# recursion limit.
+BLOCK_PIECES = (
+    " ", "\n", "\t", " \t", "  ", "- ", ": ", "? ", "[", "]", "{", "}", ",",
+    "#", "'", '"', "|", "|-", ">", "&a ", "*a", "<<: ", "!!int ", "!!str ",
+    "---\n", "...\n", "%YAML 1.1\n", "\\", "\\x", "\ud800", "\udfff",
+    "\x00", "\x85", "\ufeff", "\u2028", "\xa0", "é", "{{threshold}}",
+    "ex:", "ex:p", "<rel>", "http://x.example/y", "obligation_id: ",
+    "min_count: ", "severity: Warning", "true", "1.5", "-1", "2001-13-01",
+    "[" * 600, "{a: " * 600, "- " * 300,
+)
+
 
 def _base_inputs() -> dict[str, list[str]]:
     import yaml
@@ -60,40 +84,46 @@ def _base_inputs() -> dict[str, list[str]]:
     import generate
 
     cases = [p.read_text("utf-8") for p in sorted((DATA / "cases").glob("*.ttl"))]
-    sources = [p.read_text("utf-8") for p in sorted((DATA / "blocks").glob("*.ir.yaml"))]
-    sources += [text for seed in QUERY_SEEDS
-                for s in generate.obligation_sets(seed) for text in s.texts[:1]]
+    blocks = [p.read_text("utf-8") for p in sorted((DATA / "blocks").glob("*.ir.yaml"))]
+    sources = blocks + [text for seed in QUERY_SEEDS
+                        for s in generate.obligation_sets(seed) for text in s.texts[:1]]
     queries = []
     for source in sources:
         for record in yaml.safe_load(source) or ():
             if "sparql_text" in record:
                 queries.append(record["sparql_text"].replace(
                     "{{threshold}}", record.get("threshold_ref", "")))
-    return {"turtle": cases, "sparql": sorted(set(queries))}
+    blocks += [text for s in generate.obligation_sets(BLOCK_SEED) for text in s.texts]
+    return {"turtle": cases, "sparql": sorted(set(queries)), "blocks": blocks}
 
 
-def _mutate(rng: random.Random, text: str) -> str:
+def mutate(rng: random.Random, text: str, pieces=PIECES) -> str:
+    """One to three seeded edits: delete a span, insert a piece, duplicate
+    a span, or replace a character with one from a piece."""
     for _ in range(rng.randint(1, 3)):
         i = rng.randrange(len(text) + 1)
         op = rng.randrange(4)
         if op == 0:
             text = text[:i] + text[i + rng.randint(1, 8):]
         elif op == 1:
-            text = text[:i] + rng.choice(PIECES) + text[i:]
+            text = text[:i] + rng.choice(pieces) + text[i:]
         elif op == 2:
             j = min(len(text), i + rng.randint(1, 20))
             text = text[:j] + text[i:j] + text[j:]
         elif text:
             i = min(i, len(text) - 1)
-            text = text[:i] + rng.choice(rng.choice(PIECES)) + text[i + 1:]
+            text = text[:i] + rng.choice(rng.choice(pieces)) + text[i + 1:]
     return text
 
 
-def make_inputs(mutations: int, seed: int) -> dict[str, list[str]]:
+def iter_inputs(mutations: int, seed: int):
+    """``(kind, text)`` pairs: each kind's base inputs, then its mutations."""
     rng = random.Random(seed)
-    base = _base_inputs()
-    return {kind: texts + [_mutate(rng, rng.choice(texts)) for _ in range(mutations)]
-            for kind, texts in base.items()}
+    for kind, texts in _base_inputs().items():
+        pieces = BLOCK_PIECES if kind == "blocks" else PIECES
+        yield from ((kind, text) for text in texts)
+        for _ in range(mutations):
+            yield kind, mutate(rng, rng.choice(texts), pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -111,8 +141,9 @@ def _outcome(fn, text: str) -> list[str]:
         return ["error", f"{type(exc).__name__}: {exc}"]
 
 
-def work(inputs_path: str, outcomes_path: str) -> None:
+def work(mutations: int, seed: int, outcomes_path: str) -> None:
     from govshapes import corpus
+    from govshapes.ir import parse_ir
     from govshapes.rdf import EX, parse_turtle, serialize_turtle
     from govshapes.shacl import emit_report_graph
     from govshapes.sparql import evaluate, parse_sparql
@@ -141,9 +172,12 @@ def work(inputs_path: str, outcomes_path: str) -> None:
                           repr(diagnostics)]
         return parts
 
-    inputs = json.loads(Path(inputs_path).read_text("utf-8"))
-    outcomes = {"turtle": [_outcome(turtle, t) for t in inputs["turtle"]],
-                "sparql": [_outcome(sparql, t) for t in inputs["sparql"]]}
+    def blocks(text):
+        return [repr(parse_ir(text))]
+
+    front_ends = {"turtle": turtle, "sparql": sparql, "blocks": blocks}
+    outcomes = [_outcome(front_ends[kind], text)
+                for kind, text in iter_inputs(mutations, seed)]
     Path(outcomes_path).write_text(json.dumps(outcomes), "utf-8")
 
 
@@ -151,35 +185,44 @@ def work(inputs_path: str, outcomes_path: str) -> None:
 # Comparison of the two sides
 # ---------------------------------------------------------------------------
 
-def _run_side(src: Path, inputs_path: Path, outcomes_path: Path) -> dict:
+def _start_side(src: Path, mutations: int, seed: int, outcomes_path: Path):
     env = dict(os.environ, PYTHONPATH=str(src))
-    subprocess.run([sys.executable, __file__, "--worker", str(inputs_path),
-                    str(outcomes_path)], env=env, check=True)
+    return subprocess.Popen([sys.executable, __file__, "--worker", str(mutations),
+                             str(seed), str(outcomes_path)], env=env)
+
+
+def _outcomes(process: subprocess.Popen, outcomes_path: Path) -> list:
+    if process.wait() != 0:
+        raise SystemExit(f"worker exited with status {process.returncode}")
     return json.loads(outcomes_path.read_text("utf-8"))
 
 
 def _summary(outcome: list[str]) -> str:
+    """``ok``, or the exception's class and the first line of its message:
+    a YAML error's later lines only point into the input."""
     if outcome[0] == "ok":
         return "ok"
-    return re.sub(r"\d+", "N", outcome[1])
+    return re.sub(r"\d+", "N", outcome[1].split("\n", 1)[0])
 
 
-def compare(inputs: dict, parent: dict, change: dict) -> None:
-    for kind, texts in inputs.items():
-        same = 0
+def compare(inputs, parent: list, change: list) -> None:
+    """Print the table; ``inputs`` yields ``(kind, text)`` in outcome order."""
+    rows = zip(inputs, parent, change)
+    for kind, group in groupby(rows, key=lambda row: row[0][0]):
+        total = same = accepted = 0
         classes: Counter = Counter()
         examples: dict[tuple, str] = {}
-        for text, a, b in zip(texts, parent[kind], change[kind]):
+        for (_, text), a, b in group:
+            total += 1
+            accepted += a[0] == b[0] == "ok"
             if a == b:
                 same += 1
                 continue
             key = (_summary(a), _summary(b))
             classes[key] += 1
             examples.setdefault(key, text)
-        accepted = sum(1 for a, b in zip(parent[kind], change[kind])
-                       if a[0] == b[0] == "ok")
-        print(f"{kind}: {len(texts)} inputs, {same} same outcome, "
-              f"{accepted} accepted by both, {len(texts) - same} differ")
+        print(f"{kind}: {total} inputs, {same} same outcome, "
+              f"{accepted} accepted by both, {total - same} differ")
         for (a, b), count in classes.most_common():
             example = examples[a, b]
             print(f"  {count:6d}  parent {a[:100]!r}\n"
@@ -189,7 +232,7 @@ def compare(inputs: dict, parent: dict, change: dict) -> None:
 
 def main() -> None:
     if sys.argv[1:2] == ["--worker"]:
-        work(sys.argv[2], sys.argv[3])
+        work(int(sys.argv[2]), int(sys.argv[3]), sys.argv[4])
         return
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_src", type=Path)
@@ -198,13 +241,12 @@ def main() -> None:
                         help="mutations per input kind (default 10000)")
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
-    inputs = make_inputs(args.mutations, args.seed)
     with tempfile.TemporaryDirectory() as tmp:
-        inputs_path = Path(tmp) / "inputs.json"
-        inputs_path.write_text(json.dumps(inputs), "utf-8")
-        parent = _run_side(args.parent_src.resolve(), inputs_path, Path(tmp) / "parent.json")
-        change = _run_side(args.change_src.resolve(), inputs_path, Path(tmp) / "change.json")
-    compare(inputs, parent, change)
+        paths = Path(tmp) / "parent.json", Path(tmp) / "change.json"
+        processes = [_start_side(src.resolve(), args.mutations, args.seed, path)
+                     for src, path in zip((args.parent_src, args.change_src), paths)]
+        parent, change = [_outcomes(p, path) for p, path in zip(processes, paths)]
+    compare(iter_inputs(args.mutations, args.seed), parent, change)
 
 
 if __name__ == "__main__":
