@@ -105,10 +105,15 @@ def _load_corpus(config: dict, corpus_dir: str | None) -> list[tuple[str, Graph]
     if directory is None:
         return corpus_data.compiler_corpus()
     pairs = []
+    files: dict[str, Path] = {}
     for path in sorted(Path(directory).glob("*.ttl")):
         case_id = path.stem
         if case_id.startswith("case_"):
             case_id = case_id[len("case_"):]
+        if case_id in files:
+            raise GovshapesError(f"case id {case_id!r} is given by two files: "
+                                 f"{files[case_id]} and {path}")
+        files[case_id] = path
         pairs.append((case_id, parse_turtle(path.read_text("utf-8"))))
     if not pairs:
         raise GovshapesError(f"no .ttl case files under {directory}")
@@ -176,7 +181,7 @@ def cmd_refine(args) -> int:
     registry = _build_registry(config)
     profiles = args.profiles or list(corpus_data.COMPILER_PROFILES)
     corpus = _load_corpus(config, args.corpus)
-    verdicts = registry.refinement_matrix(profiles, corpus)
+    verdicts, diagnostics = registry.refinement_sweep(profiles, corpus)
     held = 0
     for v in verdicts:
         if v.holds:
@@ -199,6 +204,10 @@ def cmd_refine(args) -> int:
             print(f"equivalent: {p1} == {p2}")
     else:
         print("no equivalent pairs")
+    # a solution a type error eliminated may hide a counterexample
+    for case_id, d in diagnostics:
+        print(f"warning: case {case_id}: query clause {d.clause_index} "
+              f"eliminated a solution: {d.reason}", file=sys.stderr)
     return 0
 
 

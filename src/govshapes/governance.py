@@ -22,6 +22,7 @@ from .errors import (ConflictingShapeBodiesError, SchemaError, UnknownBlockError
 from .ir import KnowledgeBlock, empty_block, merge_severity, parse_ir, compile_block
 from .rdf import STANDARD_PREFIXES, Graph, union
 from .shacl import NodeShape, ValidationReport, Violation, validate
+from .sparql import EvalDiagnostic
 
 
 @dataclass(frozen=True)
@@ -205,20 +206,63 @@ class Registry:
         return ProfileReport(profile_name, case_id, report)
 
     def _violation_table(self, profile_names: list[str],
-                         corpus: list[tuple[str, Graph]]) -> _ViolationTable:
-        """Each named profile's violations on each case, validated once."""
-        return {name: [self.validate_profile(graph, name).report.violations
-                       for _, graph in corpus]
-                for name in dict.fromkeys(profile_names)}
+                         corpus: list[tuple[str, Graph]]
+                         ) -> tuple[_ViolationTable, list[tuple[str, EvalDiagnostic]]]:
+        """Each named profile's violations on each case, and each case's
+        diagnostics, from one validation pass per case over the distinct
+        shapes of all the profiles.
+
+        Distinct shapes go into batches of distinct IRIs, so each batch
+        report splits by source shape; one IRI needs a second batch only
+        when two profiles give it two bodies or severities. A profile's
+        shapes are sorted by IRI and the report by shape IRI first, so
+        concatenating its shapes' violations in order equals validating
+        the profile on its own.
+        """
+        names = list(dict.fromkeys(profile_names))
+        batches: list[dict[str, NodeShape]] = []
+        batch_of: dict[NodeShape, int] = {}
+        # profile -> (batch, shape IRI) of each of its shapes, in order
+        positions: dict[str, list[tuple[int, str]]] = {}
+        for name in names:
+            spots = positions[name] = []
+            for shape in self.composed(name).shapes:
+                iri = shape.iri.value
+                k = batch_of.get(shape)
+                if k is None:
+                    k = next((k for k, batch in enumerate(batches) if iri not in batch),
+                             len(batches))
+                    if k == len(batches):
+                        batches.append({})
+                    batches[k][iri] = shape
+                    batch_of[shape] = k
+                spots.append((k, iri))
+
+        table: _ViolationTable = {name: [] for name in names}
+        diagnostics: list[tuple[str, EvalDiagnostic]] = []
+        for case_id, graph in corpus:
+            found: list[dict[str, list[Violation]]] = []
+            for batch in batches:
+                report = validate(list(batch.values()), graph)
+                by_iri: dict[str, list[Violation]] = {iri: [] for iri in batch}
+                for v in report.violations:
+                    by_iri[v.source_shape.value].append(v)
+                found.append(by_iri)
+                diagnostics.extend((case_id, d) for d in report.diagnostics)
+            for name in names:
+                table[name].append(tuple(v for k, iri in positions[name]
+                                         for v in found[k][iri]))
+        return table, diagnostics
 
     def check_refinement(self, p1: str, p2: str,
                          corpus: list[tuple[str, Graph]]) -> RefinementVerdict:
         """Does every violation p2 detects also get detected by p1?"""
-        return _verdict(p1, p2, corpus, self._violation_table([p1, p2], corpus))
+        table, _ = self._violation_table([p1, p2], corpus)
+        return _verdict(p1, p2, corpus, table)
 
     def check_equivalence(self, p1: str, p2: str,
                           corpus: list[tuple[str, Graph]]) -> EquivalenceResult:
-        table = self._violation_table([p1, p2], corpus)
+        table, _ = self._violation_table([p1, p2], corpus)
         forward = _verdict(p1, p2, corpus, table)
         backward = _verdict(p2, p1, corpus, table)
         return EquivalenceResult(p1, p2, forward.holds and backward.holds,
@@ -227,9 +271,17 @@ class Registry:
     def refinement_matrix(self, profile_names: list[str],
                           corpus: list[tuple[str, Graph]]) -> list[RefinementVerdict]:
         """All ordered distinct pairs, in the given profile order."""
-        table = self._violation_table(profile_names, corpus)
-        return [_verdict(p1, p2, corpus, table)
-                for p1 in profile_names for p2 in profile_names if p1 != p2]
+        return self.refinement_sweep(profile_names, corpus)[0]
+
+    def refinement_sweep(self, profile_names: list[str], corpus: list[tuple[str, Graph]]
+                         ) -> tuple[list[RefinementVerdict], list[tuple[str, EvalDiagnostic]]]:
+        """The refinement matrix, and the (case id, diagnostic) pairs of the
+        validation pass behind it: a solution a type error eliminated may
+        hide a violation, and so a counterexample."""
+        table, diagnostics = self._violation_table(profile_names, corpus)
+        verdicts = [_verdict(p1, p2, corpus, table)
+                    for p1 in profile_names for p2 in profile_names if p1 != p2]
+        return verdicts, diagnostics
 
 
 def _verdict(p1: str, p2: str, corpus: list[tuple[str, Graph]],

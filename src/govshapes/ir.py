@@ -107,6 +107,48 @@ def _need_str(item: dict, key: str, where: str) -> str:
     return value
 
 
+_TAG = "tag:yaml.org,2002:"
+_EXPLICIT_TAGS = {_TAG + "str", _TAG + "int", _TAG + "float"}
+_COLLECTION_TAGS = {_TAG + "seq", _TAG + "map"}
+
+
+def _reject_explicit_tags(loader, root: yaml.Node | None) -> None:
+    """Stop explicit tags other than !!str, !!int and !!float before
+    construction: SafeConstructor crashes on values such as
+    ``!!timestamp x`` or ``!!bool x``. A tag that restates the one the
+    value resolves to anyway changes nothing and passes."""
+    seen: set[int] = set()
+    stack = [root] if root is not None else []
+    while stack:
+        node = stack.pop()
+        if isinstance(node, yaml.ScalarNode):
+            # plain style is None under PyYAML's parser and "" under libyaml's
+            allowed = node.tag in _EXPLICIT_TAGS or (
+                not node.style
+                and node.tag == loader.resolve(yaml.ScalarNode, node.value, (True, False)))
+        elif id(node) in seen:  # an alias, possibly of an enclosing node
+            continue
+        else:
+            seen.add(id(node))
+            allowed = node.tag in _COLLECTION_TAGS
+            stack.extend(node.value if isinstance(node, yaml.SequenceNode)
+                         else (n for pair in node.value for n in pair))
+        if not allowed:
+            raise SchemaError(f"not parseable as YAML: explicit tag {node.tag!r} "
+                              f"on line {node.start_mark.line + 1} is not allowed")
+
+
+def _load(text: str):
+    """``yaml.load`` with the tags checked between composing and constructing."""
+    loader = _LOADER(text)
+    try:
+        node = loader.get_single_node()
+        _reject_explicit_tags(loader, node)
+        return None if node is None else loader.construct_document(node)
+    finally:
+        loader.dispose()
+
+
 def parse_ir(text: str) -> list[IrRecord]:
     """Parse a block source into records, in file order.
 
@@ -116,7 +158,7 @@ def parse_ir(text: str) -> list[IrRecord]:
     duplicated obligation id.
     """
     try:
-        doc = yaml.load(text, Loader=_LOADER)
+        doc = _load(text)
     except (yaml.YAMLError, ValueError) as exc:
         # ValueError: libyaml cannot encode a lone surrogate, and
         # SafeConstructor rejects values such as a 13th month this way

@@ -86,6 +86,19 @@ def test_compile_rejects_names_the_reader_rejects(tmp_path, capsys, name):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tag", ["!!timestamp", "!!bool"])
+def test_compile_rejects_an_explicit_tag_the_constructor_cannot_build(
+        tmp_path, capsys, tag):
+    src = tmp_path / "tagged.ir.yaml"
+    src.write_text(corpus.block_source("logging").replace(
+        "message: ", f"message: {tag} ", 1), "utf-8")
+    out = tmp_path / "tagged.ttl"
+    assert main(["compile", str(src), "-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: not parseable as YAML: explicit tag 'tag:yaml.org,2002:")
+    assert not out.exists()
+
+
 def test_compile_missing_input_file(tmp_path, capsys):
     assert main(["compile", str(tmp_path / "nope.ir.yaml"),
                  "-o", str(tmp_path / "out.ttl")]) == 2
@@ -309,6 +322,39 @@ def test_refine_equivalence_is_corpus_relative(tmp_path, capsys):
         "2 hold, 0 do not hold",
         "equivalent: Combined == Accountability",
     ]
+
+
+def test_refine_warns_of_eliminated_solutions_once_per_case_and_shape(tmp_path, capsys):
+    # "seventy" is no decimal: the disparity query of Fairness and Combined
+    # drops the solution, which hides the B1 counterexample
+    write_case(tmp_path, "conform")
+    case = write_case(tmp_path, "disparity_exceeds")
+    case.write_text(case.read_text("utf-8").replace(
+        "ex:allocatedGPUHoursGroupB 70.0",
+        'ex:allocatedGPUHoursGroupB "seventy"^^xsd:decimal'), "utf-8")
+    assert main(["refine", "--corpus", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert "equivalent: Fairness == Combined" in captured.out.splitlines()
+    assert captured.err == ("warning: case disparity_exceeds: query clause 3 "
+                            "eliminated a solution: literal 'seventy' is not "
+                            "a valid number\n")
+
+
+def test_refine_without_diagnostics_writes_no_stderr(capsys):
+    assert main(["refine"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", [["refine"], ["bench", "--samples", "30"]])
+def test_corpus_with_a_case_id_given_twice_exits_two(tmp_path, capsys, command):
+    # case_ is stripped, so both files would be case "conform"
+    first = write_case(tmp_path, "conform")
+    second = write_case(tmp_path, "missing_explanation", name="conform.ttl")
+    assert main([*command, "--corpus", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: case id 'conform' is given by two files: "
+                            f"{first} and {second}\n")
 
 
 def test_refine_empty_corpus_directory(tmp_path, capsys):

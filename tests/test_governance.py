@@ -9,7 +9,7 @@ from govshapes.errors import (ConflictingShapeBodiesError, SchemaError,
 from govshapes.governance import (Profile, Registry, compose,
                                   parse_profile, serialize_profile)
 from govshapes.ir import KnowledgeBlock, compile_block, empty_block, parse_ir
-from govshapes.rdf import EX, Graph, serialize_turtle
+from govshapes.rdf import EX, Graph, parse_turtle, serialize_turtle
 from govshapes.shacl import Severity, validate
 
 BLOCKS = {name: compile_block(parse_ir(corpus.block_source(name)), name)
@@ -294,3 +294,122 @@ def test_refinement_is_transitive_on_the_corpus(s1, s2, s3):
     r23 = registry.check_refinement("P2", "P3", CORPUS)
     if r12.holds and r23.holds:
         assert registry.check_refinement("P1", "P3", CORPUS).holds
+
+
+# ---------------------------------------------------------------------------
+# One validation pass per case over the distinct shapes
+# ---------------------------------------------------------------------------
+
+def named_block(name, severity="Violation", message="Needs a log."):
+    text = (f"- obligation_id: R1\n  target_class: ex:Decision\n"
+            f"  constraint_type: structural\n  relation: ex:hasUsageLog\n"
+            f"  severity: {severity}\n  message: {message}\n")
+    return compile_block(parse_ir(text), name)
+
+
+def synthetic_registry(blocks, profiles):
+    registry = Registry()
+    for block in [*BLOCKS.values(), *blocks]:
+        registry.add_block(block)
+    for name, members in profiles.items():
+        registry.add_profile(Profile(name, members))
+    return registry
+
+
+# Warn keeps R1 at Warning; Strict merges it up to Violation
+SEVERITY_RAISED = synthetic_registry(
+    [named_block("r1_warning", "Warning"), named_block("r1_violation")],
+    {"Warn": ("r1_warning", "logging"),
+     "Strict": ("r1_warning", "r1_violation", "accountability")})
+# never composed together, so R1Shape has two bodies
+TWO_BODIES = synthetic_registry(
+    [named_block("r1_a"), named_block("r1_b", message="Different text.")],
+    {"A": ("r1_a", "fairness"), "B": ("r1_b", "fairness", "logging"),
+     "C": ("r1_a", "accountability")})
+
+
+def without_usage_log(case_id):
+    graph = dict(CORPUS)[case_id]
+    return Graph((t for t in graph if t.predicate != EX.hasUsageLog),
+                 prefixes=graph.prefixes)
+
+
+# the compiler cases, plus two on which R1 fires
+R1_CORPUS = [*CORPUS, ("conform_no_log", without_usage_log("conform")),
+             ("missing_explanation_no_log", without_usage_log("missing_explanation"))]
+
+
+def assert_table_matches_validate_profile(registry, names, cases):
+    table, _ = registry._violation_table(names, cases)
+    assert list(table) == names
+    fired = 0
+    for name in names:
+        assert len(table[name]) == len(cases)
+        for row, (_, graph) in zip(table[name], cases):
+            assert row == registry.validate_profile(graph, name).report.violations
+            fired += len(row)
+    assert fired  # the comparison saw violations, not only empty tuples
+
+
+def test_violation_table_equals_validate_profile_on_bundled_data(registry, all_cases):
+    names = list(corpus.COMPILER_PROFILES + corpus.JURISDICTION_PROFILES)
+    assert len(all_cases) == 7
+    assert_table_matches_validate_profile(registry, names, all_cases)
+
+
+def test_violation_table_keeps_a_severity_raised_on_merge():
+    strict = SEVERITY_RAISED.composed("Strict").shapes
+    warn = SEVERITY_RAISED.composed("Warn").shapes
+    (r1_strict,) = [s for s in strict if s.iri == EX.R1Shape]
+    (r1_warn,) = [s for s in warn if s.iri == EX.R1Shape]
+    assert (r1_warn.severity, r1_strict.severity) == (Severity.WARNING,
+                                                      Severity.VIOLATION)
+    assert_table_matches_validate_profile(SEVERITY_RAISED, ["Warn", "Strict"], R1_CORPUS)
+    table, _ = SEVERITY_RAISED._violation_table(["Warn", "Strict"], R1_CORPUS)
+    severities = {name: {v.severity for row in table[name] for v in row
+                         if v.source_shape == EX.R1Shape} for name in table}
+    assert severities == {"Warn": {Severity.WARNING}, "Strict": {Severity.VIOLATION}}
+
+
+def test_violation_table_keeps_two_bodies_of_one_iri_apart():
+    with pytest.raises(ConflictingShapeBodiesError):
+        compose([TWO_BODIES.block("r1_a"), TWO_BODIES.block("r1_b")])
+    assert_table_matches_validate_profile(TWO_BODIES, ["A", "B"], R1_CORPUS)
+    table, _ = TWO_BODIES._violation_table(["A", "B"], R1_CORPUS)
+    messages = {name: {v.message for row in table[name] for v in row
+                       if v.source_shape == EX.R1Shape} for name in table}
+    assert messages == {"A": {"Needs a log."}, "B": {"Different text."}}
+
+
+@pytest.mark.parametrize("registry_name, names, per_case", [
+    ("default", list(corpus.COMPILER_PROFILES), 1),
+    ("two_bodies", ["A", "B", "C"], 2),
+])
+def test_violation_table_validates_once_per_case_and_batch(
+        registry, monkeypatch, registry_name, names, per_case):
+    import govshapes.governance as governance
+    subject = {"default": registry, "two_bodies": TWO_BODIES}[registry_name]
+    calls = []
+
+    def counting_validate(shapes, graph):
+        calls.append(len(shapes))
+        return validate(shapes, graph)
+
+    monkeypatch.setattr(governance, "validate", counting_validate)
+    subject.refinement_matrix(names, CORPUS)
+    assert len(calls) == per_case * len(CORPUS)
+    if registry_name == "default":
+        assert set(calls) == {10}  # 20 shapes in the trio, 10 distinct
+
+
+def test_refinement_sweep_returns_the_matrix_and_its_diagnostics(registry):
+    # "seventy" is no decimal: the disparity query drops the solution
+    text = corpus.case_source("disparity_exceeds").replace(
+        "ex:allocatedGPUHoursGroupB 70.0",
+        'ex:allocatedGPUHoursGroupB "seventy"^^xsd:decimal')
+    cases = [*CORPUS, ("seventy", parse_turtle(text))]
+    names = list(corpus.COMPILER_PROFILES)
+    verdicts, diagnostics = registry.refinement_sweep(names, cases)
+    assert verdicts == registry.refinement_matrix(names, cases)
+    # Fairness and Combined share the query's shape; it is validated once
+    assert [(case_id, d.clause_index) for case_id, d in diagnostics] == [("seventy", 3)]

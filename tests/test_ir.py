@@ -175,6 +175,8 @@ def test_parse_rejects_unparseable_yaml():
     "- message: lone \ud800 surrogate",
     "- message: !!int x",
     "- message: 2001-13-01",
+    "- message: !!timestamp x",
+    "- message: !!bool x",
 ])
 def test_parse_rejects_values_yaml_cannot_build(source):
     with pytest.raises(SchemaError, match="not parseable as YAML"):
@@ -305,6 +307,25 @@ def test_loaders_agree_on_mutated_sources(monkeypatch):
             assert fast == reference
             both_accept += 1
     assert both_accept > 50
+
+
+@libyaml
+@pytest.mark.parametrize("source, accepted", [
+    ("- message: !!timestamp x", False),
+    ("- message: !!bool x", False),
+    ("- message: !!set x", False),
+    ("- !!omap [message: x]", False),
+    ("- message: !!bool 'true'", False),
+    # a tag the value resolves to anyway, or one of the three scalar tags,
+    # reaches the record checks
+    ("- message: !!timestamp 2001-12-01", True),
+    ("- !!map {message: !!str 5}", True),
+    ("- &a [*a]", True),
+])
+def test_explicit_tags_are_stopped_before_construction(monkeypatch, source, accepted):
+    for outcome in _parse_with_each_loader(monkeypatch, source):
+        assert isinstance(outcome, SchemaError)
+        assert ("explicit tag" not in str(outcome)) == accepted
 
 
 # ---------------------------------------------------------------------------
