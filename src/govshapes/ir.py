@@ -112,13 +112,13 @@ _EXPLICIT_TAGS = {_TAG + "str", _TAG + "int", _TAG + "float"}
 _COLLECTION_TAGS = {_TAG + "seq", _TAG + "map"}
 
 
-def _reject_explicit_tags(loader, root: yaml.Node | None) -> None:
+def _reject_explicit_tags(loader, root: yaml.Node) -> None:
     """Stop explicit tags other than !!str, !!int and !!float before
     construction: SafeConstructor crashes on values such as
     ``!!timestamp x`` or ``!!bool x``. A tag that restates the one the
     value resolves to anyway changes nothing and passes."""
     seen: set[int] = set()
-    stack = [root] if root is not None else []
+    stack = [root]
     while stack:
         node = stack.pop()
         if isinstance(node, yaml.ScalarNode):
@@ -143,8 +143,10 @@ def _load(text: str):
     loader = _LOADER(text)
     try:
         node = loader.get_single_node()
+        if node is None:  # an empty document
+            return None
         _reject_explicit_tags(loader, node)
-        return None if node is None else loader.construct_document(node)
+        return loader.construct_document(node)
     finally:
         loader.dispose()
 
