@@ -81,6 +81,8 @@ def _load_config(path: str | None) -> dict:
     for key, value in config.items():
         if value is not None and not isinstance(value, str):
             raise GovshapesError(f"config key {key!r} must be a directory path")
+    # a null value acts like an absent key
+    config = {key: value for key, value in config.items() if value is not None}
     if config.get("profiles_dir") and not config.get("blocks_dir"):
         raise GovshapesError("config key 'profiles_dir' needs 'blocks_dir'")
     return config

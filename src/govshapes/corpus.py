@@ -69,26 +69,26 @@ def case_source(case_id: str) -> str:
     return _data_text(f"cases/case_{case_id}.ttl")
 
 
+def _golden_row(row: dict) -> dict[str, tuple[bool, int]]:
+    return {profile: (cell["conforms"], cell["violations"])
+            for profile, cell in row.items()}
+
+
 def build_case(case_id: str) -> EvidenceCase:
     """Load one bundled case with its golden expectations attached."""
     graph = parse_turtle(case_source(case_id))
     matrix_key = ("jurisdiction_matrix" if case_id in JURISDICTION_CASES
                   else "compiler_matrix")
-    row = goldens()[matrix_key][case_id]
-    expected = {profile: (cell["conforms"], cell["violations"])
-                for profile, cell in row.items()}
+    expected = _golden_row(goldens()[matrix_key][case_id])
     return EvidenceCase(case_id, graph, _CASE_DESCRIPTIONS[case_id], expected)
 
 
 def expected_outcomes() -> dict[str, dict[str, tuple[bool, int]]]:
     """Golden (conforms, count) per case per profile, both experiment grids."""
     data = goldens()
-    out: dict[str, dict[str, tuple[bool, int]]] = {}
-    for matrix in ("compiler_matrix", "jurisdiction_matrix"):
-        for case_id, row in data[matrix].items():
-            out[case_id] = {profile: (cell["conforms"], cell["violations"])
-                            for profile, cell in row.items()}
-    return out
+    return {case_id: _golden_row(row)
+            for matrix in ("compiler_matrix", "jurisdiction_matrix")
+            for case_id, row in data[matrix].items()}
 
 
 def block_source(name: str) -> str:
@@ -113,8 +113,8 @@ def default_registry() -> Registry:
 
 def compiler_corpus() -> list[tuple[str, Graph]]:
     """The four-case corpus refinement verdicts are computed over."""
-    return [(case_id, build_case(case_id).graph) for case_id in COMPILER_CASES]
+    return [(case_id, parse_turtle(case_source(case_id))) for case_id in COMPILER_CASES]
 
 
 def full_corpus() -> list[tuple[str, Graph]]:
-    return [(case_id, build_case(case_id).graph) for case_id in CASE_IDS]
+    return [(case_id, parse_turtle(case_source(case_id))) for case_id in CASE_IDS]

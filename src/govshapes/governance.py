@@ -21,7 +21,7 @@ from .errors import (ConflictingShapeBodiesError, SchemaError, UnknownBlockError
                      UnknownProfileError)
 from .ir import KnowledgeBlock, empty_block, merge_severity, parse_ir, compile_block
 from .rdf import STANDARD_PREFIXES, Graph, union
-from .shacl import NodeShape, ValidationReport, Violation, validate
+from .shacl import NodeShape, ValidationReport, Violation, shape_violations, validate
 from .sparql import EvalDiagnostic
 
 
@@ -209,49 +209,29 @@ class Registry:
                          corpus: list[tuple[str, Graph]]
                          ) -> tuple[_ViolationTable, list[tuple[str, EvalDiagnostic]]]:
         """Each named profile's violations on each case, and each case's
-        diagnostics, from one validation pass per case over the distinct
-        shapes of all the profiles.
+        diagnostics, from one evaluation per case of each distinct shape
+        of all the profiles.
 
-        Distinct shapes go into batches of distinct IRIs, so each batch
-        report splits by source shape; one IRI needs a second batch only
-        when two profiles give it two bodies or severities. A profile's
-        shapes are sorted by IRI and the report by shape IRI first, so
-        concatenating its shapes' violations in order equals validating
-        the profile on its own.
+        A profile's shapes are sorted by IRI and ``validate`` sorts by
+        shape IRI first, so concatenating its shapes' violations in order
+        equals validating the profile on its own. Shapes are keyed by
+        value, so an IRI two profiles give two bodies or severities is
+        evaluated once per body.
         """
         names = list(dict.fromkeys(profile_names))
-        batches: list[dict[str, NodeShape]] = []
-        batch_of: dict[NodeShape, int] = {}
-        # profile -> (batch, shape IRI) of each of its shapes, in order
-        positions: dict[str, list[tuple[int, str]]] = {}
-        for name in names:
-            spots = positions[name] = []
-            for shape in self.composed(name).shapes:
-                iri = shape.iri.value
-                k = batch_of.get(shape)
-                if k is None:
-                    k = next((k for k, batch in enumerate(batches) if iri not in batch),
-                             len(batches))
-                    if k == len(batches):
-                        batches.append({})
-                    batches[k][iri] = shape
-                    batch_of[shape] = k
-                spots.append((k, iri))
-
+        distinct: dict[NodeShape, int] = {}
+        # profile -> the index in ``distinct`` of each of its shapes, in order
+        positions = {name: [distinct.setdefault(shape, len(distinct))
+                            for shape in self.composed(name).shapes]
+                     for name in names}
         table: _ViolationTable = {name: [] for name in names}
         diagnostics: list[tuple[str, EvalDiagnostic]] = []
         for case_id, graph in corpus:
-            found: list[dict[str, list[Violation]]] = []
-            for batch in batches:
-                report = validate(list(batch.values()), graph)
-                by_iri: dict[str, list[Violation]] = {iri: [] for iri in batch}
-                for v in report.violations:
-                    by_iri[v.source_shape.value].append(v)
-                found.append(by_iri)
-                diagnostics.extend((case_id, d) for d in report.diagnostics)
+            found: list[EvalDiagnostic] = []
+            results = [shape_violations(shape, graph, found) for shape in distinct]
+            diagnostics.extend((case_id, d) for d in found)
             for name in names:
-                table[name].append(tuple(v for k, iri in positions[name]
-                                         for v in found[k][iri]))
+                table[name].append(tuple(v for k in positions[name] for v in results[k]))
         return table, diagnostics
 
     def check_refinement(self, p1: str, p2: str,

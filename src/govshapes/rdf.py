@@ -129,11 +129,24 @@ STANDARD_PREFIXES: dict[str, str] = {
     "xsd": XSD.base,
 }
 
-_NUMERIC_DATATYPES = {XSD.integer, XSD.decimal, XSD.double}
+_XSD_DECIMAL = r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)"
+# The XSD lexical space of each numeric datatype, keyed by datatype IRI
+# value. int() and float() accept more ("nan", "inf", "7_0", " 70",
+# non-ASCII digits), so a literal is checked here before it is converted.
+_NUMERIC_LEXICAL: dict[str, re.Pattern] = {
+    XSD.integer.value: re.compile(r"[+-]?[0-9]+"),
+    XSD.decimal.value: re.compile(_XSD_DECIMAL),
+    XSD.double.value: re.compile(rf"{_XSD_DECIMAL}(?:[eE][+-]?[0-9]+)?|[+-]?INF|NaN"),
+}
 
 
 def is_numeric_literal(t: Term) -> bool:
-    return isinstance(t, Literal) and t.datatype in _NUMERIC_DATATYPES
+    return isinstance(t, Literal) and t.datatype.value in _NUMERIC_LEXICAL
+
+
+def in_lexical_space(lit: Literal) -> bool:
+    """Is a numeric literal's text in its datatype's XSD lexical space?"""
+    return _NUMERIC_LEXICAL[lit.datatype.value].fullmatch(lit.lexical) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from .errors import MalformedShapeError, UnsupportedConstraintError
 from .rdf import (RDF, SH, STANDARD_PREFIXES, XSD, BlankNode, Graph, Iri,
-                  Literal, Term, Triple, term_sort_key)
+                  Literal, Term, Triple, in_lexical_space, term_sort_key)
 from .sparql import EvalDiagnostic, SparqlQuery, evaluate, parse_sparql
 
 
@@ -226,12 +226,10 @@ def _single(graph: Graph, subject: Term, predicate: Iri, what: str,
 
 
 def _as_int(term: Term, what: str) -> int:
-    if isinstance(term, Literal) and term.datatype == XSD.integer:
-        try:
-            return int(term.lexical)
-        except ValueError:
-            pass
-    raise MalformedShapeError(f"{what} must be an integer literal")
+    if not (isinstance(term, Literal) and term.datatype == XSD.integer
+            and in_lexical_space(term)):
+        raise MalformedShapeError(f"{what} must be an integer literal")
+    return int(term.lexical)
 
 
 def _as_iri(term: Term | None, what: str) -> Iri:
@@ -473,6 +471,18 @@ def _check(constraint: Constraint, shape: NodeShape, graph: Graph, focus: Term,
             for node, path, value in found]
 
 
+def shape_violations(shape: NodeShape, graph: Graph,
+                     diagnostics: list[EvalDiagnostic]) -> list[Violation]:
+    """One shape's violations in ``validate``'s order; each solution a
+    type error eliminated is appended to ``diagnostics``."""
+    violations: list[Violation] = []
+    for focus in focus_nodes(graph, shape):
+        for constraint in shape.constraints:
+            violations.extend(_check(constraint, shape, graph, focus, diagnostics))
+    violations.sort(key=_violation_sort_key)
+    return violations
+
+
 def validate(shapes: list[NodeShape], graph: Graph) -> ValidationReport:
     """Validate an evidence graph against shapes.
 
@@ -484,9 +494,7 @@ def validate(shapes: list[NodeShape], graph: Graph) -> ValidationReport:
     violations: list[Violation] = []
     diagnostics: list[EvalDiagnostic] = []
     for shape in shapes:
-        for focus in focus_nodes(graph, shape):
-            for constraint in shape.constraints:
-                violations.extend(_check(constraint, shape, graph, focus, diagnostics))
+        violations.extend(shape_violations(shape, graph, diagnostics))
     violations.sort(key=_violation_sort_key)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     conforms = not any(v.severity is Severity.VIOLATION for v in violations)

@@ -25,13 +25,14 @@ error-elimination behavior validators rely on.
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from dataclasses import dataclass
 
 from .errors import SparqlSyntaxError, TypeMismatchError, UnboundVariableError
 from .rdf import (_CATCH_ALL, _TERMS, RDF, XSD, Graph, Iri, Literal, Term, _Parser,
-                  _Token, is_numeric_literal)
+                  _Token, in_lexical_space, is_numeric_literal)
 
 Binding = dict[str, Term]
 
@@ -420,11 +421,9 @@ def parse_sparql(text: str, prefixes: dict[str, str] | None = None) -> SparqlQue
 # ---------------------------------------------------------------------------
 
 def _numeric_value(lit: Literal) -> float:
-    try:
-        return float(lit.lexical)
-    except ValueError:
-        raise TypeMismatchError(
-            f"literal {lit.lexical!r} is not a valid number") from None
+    if not in_lexical_space(lit):
+        raise TypeMismatchError(f"literal {lit.lexical!r} is not a valid number")
+    return float(lit.lexical)
 
 
 def _term_value(term: Term) -> float | bool | Term:
@@ -526,6 +525,10 @@ def _bind_term(value: float | bool | Term) -> Term:
     if isinstance(value, bool):
         return Literal("true" if value else "false", XSD.boolean)
     if isinstance(value, float):
+        if math.isnan(value):
+            return Literal("NaN", XSD.double)
+        if math.isinf(value):
+            return Literal("INF" if value > 0 else "-INF", XSD.double)
         return Literal(repr(value), XSD.double)
     return value
 

@@ -17,7 +17,10 @@ Semantics mirrored here:
   - numbers order fully, booleans and terms only support = and !=, and
     blank nodes do not even support those
   - an expression error eliminates the solution instead of aborting
-  - BIND stores floats back as xsd:double via repr, bools as xsd:boolean
+  - a numeric literal outside its datatype's XSD lexical space ("nan",
+    "7_0", " 70", non-ASCII digits, an exponent on a decimal) is an error
+  - BIND stores floats back as xsd:double, finite ones via repr and the
+    others as INF, -INF and NaN, bools as xsd:boolean
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from govshapes.sparql import (
 )
 
 _NUMERIC = {XSD.integer, XSD.decimal, XSD.double}
+_DIGITS = set("0123456789")
 
 # tagged values: ("num", float) | ("bool", bool) | ("term", Term)
 
@@ -49,13 +53,30 @@ class Eliminated(Exception):
     """A type error that removes the current solution."""
 
 
+def _unsigned(text: str) -> str:
+    return text[1:] if text[:1] in ("+", "-") else text
+
+
+def _is_xsd_numeral(text: str, datatype: Iri) -> bool:
+    if datatype == XSD.double:
+        if text in ("INF", "+INF", "-INF", "NaN"):
+            return True
+        text, marker, exponent = text.replace("E", "e").partition("e")
+        unsigned = _unsigned(exponent)
+        if marker and not (unsigned and set(unsigned) <= _DIGITS):
+            return False
+    whole, point, fraction = _unsigned(text).partition(".")
+    if datatype == XSD.integer and point:
+        return False
+    return bool(whole or fraction) and set(whole + fraction) <= _DIGITS
+
+
 def _value_of_term(term: Term):
     if isinstance(term, Literal):
         if term.datatype in _NUMERIC:
-            try:
-                return ("num", float(term.lexical))
-            except ValueError:
-                raise Eliminated("unparseable numeric literal") from None
+            if not _is_xsd_numeral(term.lexical, term.datatype):
+                raise Eliminated("unparseable numeric literal")
+            return ("num", float(term.lexical))
         if term.datatype == XSD.boolean:
             return ("bool", term.lexical == "true")
     return ("term", term)
@@ -137,7 +158,12 @@ def _store(value) -> Term:
     if value[0] == "bool":
         return Literal("true" if value[1] else "false", XSD.boolean)
     if value[0] == "num":
-        return Literal(repr(value[1]), XSD.double)
+        number = value[1]
+        if number != number:
+            return Literal("NaN", XSD.double)
+        if number in (float("inf"), float("-inf")):
+            return Literal("INF" if number > 0 else "-INF", XSD.double)
+        return Literal(repr(number), XSD.double)
     return value[1]
 
 

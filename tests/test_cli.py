@@ -1,15 +1,19 @@
 """End-to-end command line behavior, driven in process via main(argv)."""
 
+import contextlib
 import hashlib
+import io
 import json
 import shutil
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from govshapes import corpus
 from govshapes.cli import main
+from govshapes.governance import serialize_profile
 from govshapes.rdf import EX, SH, parse_turtle
 from govshapes.shacl import load_shapes, read_report
 
@@ -209,6 +213,21 @@ def test_validate_prints_diagnostics_to_stderr(tmp_path, capsys):
                             "literal 'seventy' is not a valid number\n")
     (record,) = [json.loads(line) for line in log.read_text().splitlines()]
     assert record["diagnostics"] == 1
+
+
+@pytest.mark.parametrize("lexical", ["nan", "inf", "7_0", " 70", "\u0667\u0660"])
+def test_validate_warns_of_a_numeral_outside_the_xsd_lexical_space(
+        tmp_path, capsys, lexical):
+    # float() reads each of these, so the query used to pass the case silently
+    case = write_case(tmp_path, "disparity_exceeds")
+    case.write_text(case.read_text("utf-8").replace(
+        "ex:allocatedGPUHoursGroupB 70.0",
+        f'ex:allocatedGPUHoursGroupB "{lexical}"^^xsd:decimal'), "utf-8")
+    assert main(["validate", str(case), "--profile", "Fairness"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("warning: query clause 3 eliminated a solution: "
+                            f"literal {lexical!r} is not a valid number\n")
 
 
 def test_validate_unknown_profile(tmp_path, capsys):
@@ -469,6 +488,68 @@ def test_config_errors_exit_two(tmp_path, capsys, settings, message):
     assert main(["validate", str(case), "--profile", "Fairness",
                  "--config", str(config)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_config_null_value_acts_like_an_absent_key(tmp_path, capsys):
+    artifacts = tmp_path / "artifacts"
+    artifacts.mkdir()
+    for name in ("logging", "provenance"):
+        write_block(artifacts, name)
+    (artifacts / "Mini.profile").write_text("profile: Mini\nlogging\nprovenance\n",
+                                            "utf-8")
+    case = write_case(tmp_path, "exp1_violate")
+    commands = [["validate", str(case), "--profile", "Mini"],
+                ["refine", "Mini", "Mini"], ["compose", "logging"]]
+    outcomes = []
+    for document in ({"blocks_dir": str(artifacts)},
+                     {"blocks_dir": str(artifacts), "profiles_dir": None,
+                      "cases_dir": None}):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(document), "utf-8")
+        outcomes.append([(main([*argv, "--config", str(config)]),
+                          capsys.readouterr()) for argv in commands])
+    assert [code for code, _ in outcomes[0]] == [1, 0, 0]
+    assert outcomes[1] == outcomes[0]
+
+
+@pytest.fixture(scope="module")
+def fuzz_root(tmp_path_factory, registry):
+    """A directory with copies of the bundled blocks, profiles and compiler cases."""
+    root = tmp_path_factory.mktemp("config_fuzz")
+    bundled = root / "bundled"
+    bundled.mkdir()
+    for name in corpus.BLOCK_NAMES:
+        write_block(bundled, name)
+    for name in registry.profile_names:
+        (bundled / f"{name}.profile").write_text(
+            serialize_profile(registry.profile(name)), "utf-8")
+    for case_id in corpus.COMPILER_CASES:
+        write_case(bundled, case_id)
+    return root
+
+
+def config_value(root, kind):
+    bundled = root / "bundled"
+    return {"null": None, "empty": "", "bundled": str(bundled),
+            "missing": str(root / "missing"), "file": str(bundled / "Fairness.profile"),
+            "number": 7, "list": [str(bundled)]}[kind]
+
+
+@settings(max_examples=40)
+@given(st.dictionaries(st.sampled_from(["blocks_dir", "profiles_dir", "cases_dir", "extra"]),
+                       st.sampled_from(["null", "empty", "bundled", "missing", "file",
+                                        "number", "list"])))
+@example({"blocks_dir": "bundled", "profiles_dir": "null"})  # was Path(None)
+def test_config_documents_exit_with_a_status_not_a_traceback(fuzz_root, document):
+    config = fuzz_root / "config.json"
+    config.write_text(json.dumps({key: config_value(fuzz_root, kind)
+                                  for key, kind in document.items()}), "utf-8")
+    case = str(fuzz_root / "bundled" / "case_disparity_exceeds.ttl")
+    for argv in (["validate", case, "--profile", "Fairness"], ["refine"],
+                 ["compose", "logging"]):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert main([*argv, "--config", str(config)]) in (0, 1, 2)
 
 
 def test_config_rejects_bad_json(tmp_path, capsys):

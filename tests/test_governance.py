@@ -10,7 +10,7 @@ from govshapes.governance import (Profile, Registry, compose,
                                   parse_profile, serialize_profile)
 from govshapes.ir import KnowledgeBlock, compile_block, empty_block, parse_ir
 from govshapes.rdf import EX, Graph, parse_turtle, serialize_turtle
-from govshapes.shacl import Severity, validate
+from govshapes.shacl import Severity, shape_violations, validate
 
 BLOCKS = {name: compile_block(parse_ir(corpus.block_source(name)), name)
           for name in corpus.BLOCK_NAMES}
@@ -382,24 +382,25 @@ def test_violation_table_keeps_two_bodies_of_one_iri_apart():
 
 
 @pytest.mark.parametrize("registry_name, names, per_case", [
-    ("default", list(corpus.COMPILER_PROFILES), 1),
-    ("two_bodies", ["A", "B", "C"], 2),
+    ("default", list(corpus.COMPILER_PROFILES), 10),  # 20 shapes in the trio
+    ("two_bodies", ["A", "B", "C"], 11),  # 19 shapes, 10 IRIs, R1Shape twice
 ])
-def test_violation_table_validates_once_per_case_and_batch(
+def test_violation_table_evaluates_each_distinct_shape_once_per_case(
         registry, monkeypatch, registry_name, names, per_case):
     import govshapes.governance as governance
     subject = {"default": registry, "two_bodies": TWO_BODIES}[registry_name]
     calls = []
 
-    def counting_validate(shapes, graph):
-        calls.append(len(shapes))
-        return validate(shapes, graph)
+    def counting_shape_violations(shape, graph, diagnostics):
+        calls.append(shape)
+        return shape_violations(shape, graph, diagnostics)
 
-    monkeypatch.setattr(governance, "validate", counting_validate)
+    monkeypatch.setattr(governance, "shape_violations", counting_shape_violations)
     subject.refinement_matrix(names, CORPUS)
+    distinct = {shape for name in names for shape in subject.composed(name).shapes}
+    assert len(distinct) == per_case
     assert len(calls) == per_case * len(CORPUS)
-    if registry_name == "default":
-        assert set(calls) == {10}  # 20 shapes in the trio, 10 distinct
+    assert set(calls) == distinct
 
 
 def test_refinement_sweep_returns_the_matrix_and_its_diagnostics(registry):

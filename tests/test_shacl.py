@@ -185,6 +185,10 @@ def test_load_severity_and_sorted_shapes():
     ("ex:S a sh:NodeShape ; sh:targetClass ex:T ;"
      " sh:property [ sh:path ex:p ; sh:minCount 1.5 ] .",
      MalformedShapeError, "must be an integer"),
+    *[("ex:S a sh:NodeShape ; sh:targetClass ex:T ;"
+       f" sh:property [ sh:path ex:p ; sh:minCount \"{lexical}\"^^xsd:integer ] .",
+       MalformedShapeError, "must be an integer")
+      for lexical in ("1_0", " 1", "1 ", "\u0661", "+", "")],
     ("ex:S a sh:NodeShape ; sh:targetClass ex:T ; sh:targetClass ex:U ;"
      " sh:property [ sh:path ex:p ; sh:minCount 1 ] .",
      MalformedShapeError, "expected one"),

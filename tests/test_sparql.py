@@ -456,6 +456,23 @@ def _assert_engine_matches_oracle(query, graph, focus):
     assert len(diags) == oracle_eliminated
 
 
+# lexical forms float() or int() accept that XSD rejects, and XSD forms
+# at the edges of the lexical spaces
+NUMERALS = ["nan", "inf", "-Infinity", "7_0", " 70", "70 ", "\u0667\u0660", "1e2",
+            "1.", ".5", "+.5", ".", "-", "1.2.3", "1e", "1E+2", "INF", "+INF", "-INF",
+            "NaN"]
+
+
+def numeral_graphs():
+    """n0 with each numeral as its group A hours, under each numeric datatype."""
+    for lexical in NUMERALS:
+        for datatype in (XSD.integer, XSD.decimal, XSD.double):
+            yield Graph([Triple(EX.n0, RDF.type, EX.Decision),
+                         Triple(EX.n0, EX.allocatedGPUHoursGroupA, Literal(lexical, datatype)),
+                         Triple(EX.n0, EX.allocatedGPUHoursGroupB, Literal("70", XSD.integer)),
+                         Triple(EX.n0, EX.fairnessThreshold, Literal("0.2", XSD.decimal))])
+
+
 def test_engine_agrees_with_oracle_on_seeded_graphs():
     rng = random.Random(20251103)
     queries = [q(oracle.REFERENCE_QUERY)] + [q(v) for v in oracle.QUERY_VARIANTS[:4]]
@@ -464,6 +481,10 @@ def test_engine_agrees_with_oracle_on_seeded_graphs():
         for focus in (EX.n0, EX.n3):
             for query in queries:
                 _assert_engine_matches_oracle(query, g, focus)
+    variants = [q(v) for v in oracle.QUERY_VARIANTS]
+    for g in numeral_graphs():
+        for query in [q(oracle.REFERENCE_QUERY), *variants]:
+            _assert_engine_matches_oracle(query, g, EX.n0)
 
 
 @given(st.integers(0, 2**32 - 1))
