@@ -81,15 +81,15 @@ def _load_config(path: str | None) -> dict:
     for key, value in config.items():
         if value is not None and not isinstance(value, str):
             raise GovshapesError(f"config key {key!r} must be a directory path")
-    # a null value acts like an absent key
-    config = {key: value for key, value in config.items() if value is not None}
-    if config.get("profiles_dir") and not config.get("blocks_dir"):
+    # a null or empty value acts like an absent key: Path("") would be "."
+    config = {key: value for key, value in config.items() if value}
+    if "profiles_dir" in config and "blocks_dir" not in config:
         raise GovshapesError("config key 'profiles_dir' needs 'blocks_dir'")
     return config
 
 
 def _build_registry(config: dict) -> Registry:
-    if not config.get("blocks_dir") and not config.get("profiles_dir"):
+    if "blocks_dir" not in config:
         return corpus_data.default_registry()
     registry = Registry()
     blocks_dir = Path(config["blocks_dir"])

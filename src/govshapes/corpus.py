@@ -16,9 +16,9 @@ jurisdiction sweep.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
 
+from ._record import Record
 from .errors import UnknownCaseError
 from .governance import Registry, parse_profile
 from .ir import IrRecord, parse_ir
@@ -46,8 +46,7 @@ _CASE_DESCRIPTIONS = {
 }
 
 
-@dataclass(frozen=True)
-class EvidenceCase:
+class EvidenceCase(Record):
     id: str
     graph: Graph
     description: str

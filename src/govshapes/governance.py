@@ -15,8 +15,7 @@ message) is also detected by P1. Equivalence is refinement both ways.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .errors import (ConflictingShapeBodiesError, SchemaError, UnknownBlockError,
                      UnknownProfileError)
 from .ir import KnowledgeBlock, empty_block, merge_severity, parse_ir, compile_block
@@ -25,8 +24,7 @@ from .shacl import NodeShape, ValidationReport, Violation, shape_violations, val
 from .sparql import EvalDiagnostic
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(Record):
     """A named, ordered selection of block names."""
 
     name: str
@@ -110,8 +108,7 @@ def compose(blocks: list[KnowledgeBlock]) -> KnowledgeBlock:
     )
 
 
-@dataclass(frozen=True)
-class ProfileReport:
+class ProfileReport(Record):
     """A validation report tagged with its profile and evidence case."""
 
     profile: str
@@ -119,8 +116,7 @@ class ProfileReport:
     report: ValidationReport
 
 
-@dataclass(frozen=True)
-class RefinementVerdict:
+class RefinementVerdict(Record):
     p1: str
     p2: str
     holds: bool
@@ -134,8 +130,7 @@ class RefinementVerdict:
 _ViolationTable = dict[str, list[tuple[Violation, ...]]]
 
 
-@dataclass(frozen=True)
-class EquivalenceResult:
+class EquivalenceResult(Record):
     p1: str
     p2: str
     equivalent: bool

@@ -16,10 +16,10 @@ canonical output, whatever their input order.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 import yaml
 
+from ._record import Record
 from .errors import DuplicateIdError, SchemaError, UnknownPrefixError
 from .rdf import (_IRIREF_RE, _SCHEME_RE, EX, PROV, RDF, RDFS, STANDARD_PREFIXES,
                   Graph, Iri, Triple, union)
@@ -50,12 +50,13 @@ def merge_severity(a: Severity, b: Severity) -> Severity:
     return a if a.rank >= b.rank else b
 
 
-@dataclass(frozen=True)
-class IrRecord:
+class IrRecord(Record):
     """One obligation: a target class plus a single constraint description.
 
     ``sparql_text`` is stored post-substitution, so it always parses on
-    its own; ``query`` is that parse, made once when the record is built.
+    its own. The attribute ``query`` is that parse, made once when the
+    record is built (None when there is no text); it is not a field, so
+    ``==``, ``hash`` and ``repr`` leave it out.
     """
 
     obligation_id: str
@@ -69,13 +70,11 @@ class IrRecord:
     min_count: int = 1
     sparql_text: str | None = None
     threshold_ref: Iri | None = None
-    query: SparqlQuery | None = field(default=None, init=False, repr=False,
-                                      compare=False)
 
     def __post_init__(self):
-        if self.sparql_text is not None:
-            # syntax and scope errors propagate
-            object.__setattr__(self, "query", parse_sparql(self.sparql_text))
+        # syntax and scope errors propagate
+        query = None if self.sparql_text is None else parse_sparql(self.sparql_text)
+        object.__setattr__(self, "query", query)
 
 
 def _resolve_name(value: str, where: str) -> Iri:
@@ -258,8 +257,7 @@ def _build_record(item: dict, where: str) -> IrRecord:
 # Knowledge blocks
 # ---------------------------------------------------------------------------
 
-@dataclass
-class KnowledgeBlock:
+class KnowledgeBlock(Record, frozen=False):
     """⟨obligations, concepts, shapes, evidence requirements, provenance⟩."""
 
     name: str

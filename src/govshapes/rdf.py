@@ -24,56 +24,112 @@ maps serialize to byte-identical text, regardless of insertion order.
 
 from __future__ import annotations
 
-import logging
 import re
-from dataclasses import dataclass, field
-from typing import NamedTuple
 
+from ._record import Frozen
 from .errors import TurtleSyntaxError
-
-logger = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
 # Terms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Iri:
-    value: str
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class BlankNode:
-    label: str
+class _Value(Frozen):
+    """A frozen value whose fields are its ``__slots__``, in ``__init__``
+    order. The subclass's ``__init__`` stores the fields and the hash of
+    their tuple, so hashing costs one attribute read; ``==`` holds between
+    instances of one class with equal fields."""
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return (f"{self.__class__.__qualname__}("
+                + ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__) + ")")
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, n) for n in self.__slots__)
 
 
-@dataclass(frozen=True)
-class Literal:
-    lexical: str
-    datatype: Iri = None  # type: ignore[assignment]  # resolved in __post_init__
-    language: str | None = None
+class Iri(_Value):
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        if self.datatype is None:
-            dt = RDF.langString if self.language is not None else XSD.string
-            object.__setattr__(self, "datatype", dt)
+    def __init__(self, value: str):
+        _set(self, "value", value)
+        _set(self, "_hash", hash((value,)))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Iri:
+            return NotImplemented
+        return self.value == other.value
+
+    __hash__ = _Value.__hash__  # defining __eq__ would clear it
+
+
+class BlankNode(_Value):
+    __slots__ = ("label",)
+
+    def __init__(self, label: str):
+        _set(self, "label", label)
+        _set(self, "_hash", hash((label,)))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not BlankNode:
+            return NotImplemented
+        return self.label == other.label
+
+    __hash__ = _Value.__hash__  # defining __eq__ would clear it
+
+
+class Literal(_Value):
+    __slots__ = ("lexical", "datatype", "language")
+
+    def __init__(self, lexical: str, datatype: Iri | None = None,
+                 language: str | None = None):
+        if datatype is None:
+            datatype = RDF.langString if language is not None else XSD.string
+        _set(self, "lexical", lexical)
+        _set(self, "datatype", datatype)
+        _set(self, "language", language)
+        _set(self, "_hash", hash((lexical, datatype, language)))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Literal:
+            return NotImplemented
+        return (self.lexical == other.lexical and self.datatype == other.datatype
+                and self.language == other.language)
+
+    __hash__ = _Value.__hash__  # defining __eq__ would clear it
 
 
 Term = Iri | BlankNode | Literal
 
 
-@dataclass(frozen=True)
-class Triple:
-    subject: Term
-    predicate: Term
-    object: Term
+class Triple(_Value):
+    __slots__ = ("subject", "predicate", "object")
 
-    def __post_init__(self):
-        if not isinstance(self.predicate, Iri):
-            raise ValueError(f"triple predicate must be an IRI, got {self.predicate!r}")
-        if isinstance(self.subject, Literal):
+    def __init__(self, subject: Term, predicate: Term, object: Term):
+        if not isinstance(predicate, Iri):
+            raise ValueError(f"triple predicate must be an IRI, got {predicate!r}")
+        if isinstance(subject, Literal):
             raise ValueError("triple subject must not be a literal")
+        _set(self, "subject", subject)
+        _set(self, "predicate", predicate)
+        _set(self, "object", object)
+        _set(self, "_hash", hash((subject, predicate, object)))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Triple:
+            return NotImplemented
+        return (self.subject == other.subject and self.predicate == other.predicate
+                and self.object == other.object)
+
+    __hash__ = _Value.__hash__  # defining __eq__ would clear it
 
 
 def term_sort_key(t: Term) -> tuple:
@@ -252,8 +308,10 @@ def union(a: Graph, b: Graph) -> Graph:
     prefixes = dict(b._prefixes)
     for label, ns in a._prefixes.items():
         if label in prefixes and prefixes[label] != ns:
-            logger.warning("prefix conflict on %r: keeping <%s>, dropping <%s>",
-                           label, ns, prefixes[label])
+            import logging  # imported here only: it adds ~6 ms to start-up
+            logging.getLogger(__name__).warning(
+                "prefix conflict on %r: keeping <%s>, dropping <%s>",
+                label, ns, prefixes[label])
         prefixes[label] = ns
     g = Graph(prefixes=prefixes)
     g._triples = set(a._triples) | set(b._triples)
@@ -338,10 +396,13 @@ _ESCAPES = {"t": "\t", "n": "\n", "r": "\r", "b": "\b", "f": "\f",
             '"': '"', "'": "'", "\\": "\\"}
 
 
-class _Token(NamedTuple):
-    kind: str
-    value: str
-    pos: int
+class _Token:
+    __slots__ = ("kind", "value", "pos")
+
+    def __init__(self, kind: str, value: str, pos: int):
+        self.kind = kind
+        self.value = value
+        self.pos = pos
 
 
 def _syntax_error(text: str, pos: int, message: str) -> TurtleSyntaxError:

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass, field
 
+from ._record import Record
 from .errors import MalformedShapeError, UnsupportedConstraintError
 from .rdf import (RDF, SH, STANDARD_PREFIXES, XSD, BlankNode, Graph, Iri,
                   Literal, Term, Triple, in_lexical_space, term_sort_key)
@@ -75,46 +75,39 @@ class Severity(enum.Enum):
 # Constraints
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(Record):
     pass
 
 
-@dataclass(frozen=True)
 class MinCount(Constraint):
     path: Iri
     count: int
     message: str | None = None
 
 
-@dataclass(frozen=True)
 class MaxCount(Constraint):
     path: Iri
     count: int
     message: str | None = None
 
 
-@dataclass(frozen=True)
 class Datatype(Constraint):
     path: Iri
     datatype: Iri
     message: str | None = None
 
 
-@dataclass(frozen=True)
 class ClassConstraint(Constraint):
     path: Iri
     cls: Iri
     message: str | None = None
 
 
-@dataclass(frozen=True)
 class NodeKindIri(Constraint):
     path: Iri
     message: str | None = None
 
 
-@dataclass(frozen=True)
 class QualifiedMinCountClass(Constraint):
     path: Iri
     cls: Iri
@@ -122,10 +115,9 @@ class QualifiedMinCountClass(Constraint):
     message: str | None = None
 
 
-@dataclass(frozen=True)
-class SparqlConstraint(Constraint):
+class SparqlConstraint(Constraint, uncompared=("query",)):
     select: str
-    query: SparqlQuery = field(compare=False)
+    query: SparqlQuery
     message: str | None = None
 
 
@@ -149,8 +141,7 @@ def _default_message(c: Constraint) -> str:
     return "Constraint violated"
 
 
-@dataclass(frozen=True)
-class NodeShape:
+class NodeShape(Record):
     iri: Iri
     target_class: Iri
     constraints: tuple[Constraint, ...]
@@ -165,8 +156,7 @@ class NodeShape:
         return _default_message(c)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     source_shape: Iri
     focus_node: Term
     message: str
@@ -188,12 +178,11 @@ def _violation_sort_key(v: Violation) -> tuple:
             term_sort_key(v.value) if v.value is not None else ())
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record, uncompared=("elapsed_ms", "diagnostics")):
     conforms: bool
     violations: tuple[Violation, ...]
-    elapsed_ms: float = field(default=0.0, compare=False)
-    diagnostics: tuple[EvalDiagnostic, ...] = field(default=(), compare=False)
+    elapsed_ms: float = 0.0
+    diagnostics: tuple[EvalDiagnostic, ...] = ()
 
     def count(self, severity: Severity | None = None) -> int:
         if severity is None:
@@ -471,16 +460,20 @@ def _check(constraint: Constraint, shape: NodeShape, graph: Graph, focus: Term,
             for node, path, value in found]
 
 
+def _unsorted_violations(shape: NodeShape, graph: Graph,
+                         diagnostics: list[EvalDiagnostic]):
+    """One shape's violations, focus node by focus node; the callers sort."""
+    for focus in focus_nodes(graph, shape):
+        for constraint in shape.constraints:
+            yield from _check(constraint, shape, graph, focus, diagnostics)
+
+
 def shape_violations(shape: NodeShape, graph: Graph,
                      diagnostics: list[EvalDiagnostic]) -> list[Violation]:
     """One shape's violations in ``validate``'s order; each solution a
     type error eliminated is appended to ``diagnostics``."""
-    violations: list[Violation] = []
-    for focus in focus_nodes(graph, shape):
-        for constraint in shape.constraints:
-            violations.extend(_check(constraint, shape, graph, focus, diagnostics))
-    violations.sort(key=_violation_sort_key)
-    return violations
+    return sorted(_unsorted_violations(shape, graph, diagnostics),
+                  key=_violation_sort_key)
 
 
 def validate(shapes: list[NodeShape], graph: Graph) -> ValidationReport:
@@ -494,7 +487,7 @@ def validate(shapes: list[NodeShape], graph: Graph) -> ValidationReport:
     violations: list[Violation] = []
     diagnostics: list[EvalDiagnostic] = []
     for shape in shapes:
-        violations.extend(shape_violations(shape, graph, diagnostics))
+        violations.extend(_unsorted_violations(shape, graph, diagnostics))
     violations.sort(key=_violation_sort_key)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     conforms = not any(v.severity is Severity.VIOLATION for v in violations)

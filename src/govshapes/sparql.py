@@ -28,8 +28,8 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import SparqlSyntaxError, TypeMismatchError, UnboundVariableError
 from .rdf import (_CATCH_ALL, _TERMS, RDF, XSD, Graph, Iri, Literal, Term, _Parser,
                   _Token, in_lexical_space, is_numeric_literal)
@@ -49,99 +49,82 @@ _UNSUPPORTED = {
 # AST
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Var:
+class Var(Record):
     name: str
 
 
-@dataclass(frozen=True)
-class Expression:
+class Expression(Record):
     pass
 
 
-@dataclass(frozen=True)
 class NumConst(Expression):
     value: float
 
 
-@dataclass(frozen=True)
 class BoolConst(Expression):
     value: bool
 
 
-@dataclass(frozen=True)
 class TermConst(Expression):
     term: Term
 
 
-@dataclass(frozen=True)
 class VarRef(Expression):
     name: str
 
 
-@dataclass(frozen=True)
 class Arith(Expression):
     op: str  # + - * /
     left: Expression
     right: Expression
 
 
-@dataclass(frozen=True)
 class Neg(Expression):
     arg: Expression
 
 
-@dataclass(frozen=True)
 class Compare(Expression):
     op: str  # = != < > <= >=
     left: Expression
     right: Expression
 
 
-@dataclass(frozen=True)
 class AbsCall(Expression):
     arg: Expression
 
 
-@dataclass(frozen=True)
 class IfCall(Expression):
     cond: Expression
     then: Expression
     els: Expression
 
 
-@dataclass(frozen=True)
-class ClauseItem:
+class ClauseItem(Record):
     pass
 
 
-@dataclass(frozen=True)
 class TriplePattern(ClauseItem):
     subject: Term | Var
     predicate: Term | Var
     object: Term | Var
 
 
-@dataclass(frozen=True)
 class BindClause(ClauseItem):
     expression: Expression
     var: str
 
 
-@dataclass(frozen=True)
 class FilterClause(ClauseItem):
     expression: Expression
 
 
-@dataclass(frozen=True)
-class SparqlQuery:
+class SparqlQuery(Record):
     select_vars: tuple[str, ...]
     clauses: tuple[ClauseItem, ...]
     text: str
 
 
-@dataclass(frozen=True)
-class EvalDiagnostic:
+class EvalDiagnostic(Record):
     """Why a solution was eliminated by a type error."""
     clause_index: int
     reason: str

@@ -490,7 +490,7 @@ def test_config_errors_exit_two(tmp_path, capsys, settings, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def test_config_null_value_acts_like_an_absent_key(tmp_path, capsys):
+def test_config_null_value_acts_like_an_absent_key(tmp_path, monkeypatch, capsys):
     artifacts = tmp_path / "artifacts"
     artifacts.mkdir()
     for name in ("logging", "provenance"):
@@ -498,18 +498,28 @@ def test_config_null_value_acts_like_an_absent_key(tmp_path, capsys):
     (artifacts / "Mini.profile").write_text("profile: Mini\nlogging\nprovenance\n",
                                             "utf-8")
     case = write_case(tmp_path, "exp1_violate")
+    # an empty value must not read as the current directory and its cases
+    write_case(tmp_path, "conform")
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "config.json"
+
+    def outcomes(document, commands):
+        config.write_text(json.dumps(document), "utf-8")
+        return [(main([*argv, "--config", str(config)]), capsys.readouterr())
+                for argv in commands]
+
     commands = [["validate", str(case), "--profile", "Mini"],
                 ["refine", "Mini", "Mini"], ["compose", "logging"]]
-    outcomes = []
-    for document in ({"blocks_dir": str(artifacts)},
-                     {"blocks_dir": str(artifacts), "profiles_dir": None,
-                      "cases_dir": None}):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps(document), "utf-8")
-        outcomes.append([(main([*argv, "--config", str(config)]),
-                          capsys.readouterr()) for argv in commands])
-    assert [code for code, _ in outcomes[0]] == [1, 0, 0]
-    assert outcomes[1] == outcomes[0]
+    absent = outcomes({"blocks_dir": str(artifacts)}, commands)
+    assert [code for code, _ in absent] == [1, 0, 0]
+    for empty in (None, ""):
+        assert outcomes({"blocks_dir": str(artifacts), "profiles_dir": empty,
+                         "cases_dir": empty}, commands) == absent
+    bundled = outcomes({}, [["refine"]])
+    assert "does not hold" in bundled[0][1].out
+    for empty in (None, ""):
+        assert outcomes({"blocks_dir": empty, "profiles_dir": empty,
+                         "cases_dir": empty}, [["refine"]]) == bundled
 
 
 @pytest.fixture(scope="module")
