@@ -12,10 +12,9 @@ optional default, and gets
   - the dataclass ``repr``, ``Name(field=value, ...)``.
 
 The methods are shared by every subclass, not generated for it:
-``__init_subclass__`` only reads the class's own annotations, once. Two
-class keywords adjust a subclass. ``uncompared`` names fields that ``==``
-and ``hash`` leave out, and ``frozen=False`` makes a mutable, unhashable
-record.
+``__init_subclass__`` only reads the class's own annotations, once. The
+class keyword ``uncompared`` names fields that ``==`` and ``hash`` leave
+out.
 
 Every module that defines records imports ``annotations`` from
 ``__future__``, so reading a class's annotations evaluates none of them.
@@ -50,8 +49,7 @@ class Record(Frozen):
     _values = attrgetter("__class__")  # what == and hash compare; see below
     _post_init = None
 
-    def __init_subclass__(cls, uncompared: tuple[str, ...] = (), frozen: bool = True,
-                          **kwargs) -> None:
+    def __init_subclass__(cls, uncompared: tuple[str, ...] = (), **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         own = tuple(cls.__annotations__)
         cls._fields = cls._fields + own
@@ -65,10 +63,6 @@ class Record(Frozen):
         if cls._compared:
             cls._values = attrgetter(*cls._compared)
         cls._post_init = getattr(cls, "__post_init__", None)
-        if not frozen:
-            cls.__setattr__ = object.__setattr__
-            cls.__delattr__ = object.__delattr__
-            cls.__hash__ = None
 
     def __init__(self, *args, **kwargs) -> None:
         cls = self.__class__

@@ -20,9 +20,7 @@ file (``--config``) with ``blocks_dir``, ``profiles_dir`` and
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
-import statistics
 import sys
 import time
 from datetime import datetime, timezone
@@ -44,12 +42,9 @@ def _term_str(term) -> str:
     return "_:" + term.label
 
 
-def _sha256_bytes(data: bytes) -> str:
+def _sha256(data: bytes) -> str:
+    import hashlib  # imported here, not at every CLI start-up
     return hashlib.sha256(data).hexdigest()
-
-
-def _sha256_file(path: Path) -> str:
-    return _sha256_bytes(path.read_bytes())
 
 
 def _append_run_record(log_path: str, command: list[str],
@@ -135,8 +130,8 @@ def cmd_compile(args) -> int:
     print(f"{len(block.shapes)} shapes -> {args.output}")
     if args.run_log:
         _append_run_record(args.run_log, args.argv,
-                           {str(ir_path): _sha256_file(ir_path)},
-                           _sha256_bytes(text.encode("utf-8")))
+                           {str(ir_path): _sha256(ir_path.read_bytes())},
+                           _sha256(text.encode("utf-8")))
     return 0
 
 
@@ -160,7 +155,9 @@ def cmd_validate(args) -> int:
     profile_report = registry.validate_profile(evidence, args.profile,
                                                case_id=case_path.stem)
     report = profile_report.report
-    report_text = serialize_turtle(emit_report_graph(report))
+    # the report graph is built only for a reader: stdout or the run log
+    report_text = (serialize_turtle(emit_report_graph(report))
+                   if args.format == "turtle" or args.run_log else None)
     if args.format == "turtle":
         print(report_text, end="")
     else:
@@ -172,17 +169,23 @@ def cmd_validate(args) -> int:
               f"{d.reason}", file=sys.stderr)
     if args.run_log:
         _append_run_record(args.run_log, args.argv,
-                           {str(case_path): _sha256_file(case_path)},
-                           _sha256_bytes(report_text.encode("utf-8")),
+                           {str(case_path): _sha256(case_path.read_bytes())},
+                           _sha256(report_text.encode("utf-8")),
                            diagnostics=len(report.diagnostics))
     return 0 if report.conforms else 1
 
 
-def cmd_refine(args) -> int:
+def _profiles_over_corpus(args) -> tuple[Registry, list[str], list[tuple[str, Graph]]]:
+    """The registry, the profiles named (the compiler trio by default) and
+    the corpus that ``refine`` and ``bench`` run over."""
     config = _load_config(args.config)
     registry = _build_registry(config)
     profiles = args.profiles or list(corpus_data.COMPILER_PROFILES)
-    corpus = _load_corpus(config, args.corpus)
+    return registry, profiles, _load_corpus(config, args.corpus)
+
+
+def cmd_refine(args) -> int:
+    registry, profiles, corpus = _profiles_over_corpus(args)
     verdicts, diagnostics = registry.refinement_sweep(profiles, corpus)
     held = 0
     for v in verdicts:
@@ -216,10 +219,8 @@ def cmd_refine(args) -> int:
 def cmd_bench(args) -> int:
     if args.samples < 30:
         raise GovshapesError("bench needs at least 30 samples per pair")
-    config = _load_config(args.config)
-    registry = _build_registry(config)
-    profiles = args.profiles or list(corpus_data.COMPILER_PROFILES)
-    corpus = _load_corpus(config, args.corpus)
+    import statistics  # imported here, not at every CLI start-up
+    registry, profiles, corpus = _profiles_over_corpus(args)
     if args.cases:
         wanted = set(args.cases)
         corpus = [(cid, g) for cid, g in corpus if cid in wanted]
@@ -252,7 +253,7 @@ def cmd_hash_manifest(args) -> int:
         path = Path(raw)
         if not path.is_file():
             raise GovshapesError(f"not a file: {raw}")
-        entries.append((str(path), _sha256_file(path)))
+        entries.append((str(path), _sha256(path.read_bytes())))
     lines = [f"{digest}  {name}" for name, digest in sorted(entries)]
     text = "\n".join(lines) + ("\n" if lines else "")
     if args.output:

@@ -28,7 +28,7 @@ from .shacl import (Constraint, Datatype, MinCount, NodeShape,
                     _constraint_sort_key, emit_shapes_graph, qname)
 from .sparql import SparqlQuery, TriplePattern, Var, parse_sparql
 
-_ID_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _THRESHOLD_PLACEHOLDER = "{{threshold}}"
 
 _FIELDS = {
@@ -193,7 +193,7 @@ def parse_ir(text: str) -> list[IrRecord]:
 
 def _build_record(item: dict, where: str) -> IrRecord:
     obligation_id = _need_str(item, "obligation_id", where)
-    if not _ID_RE.match(obligation_id):
+    if not _ID_RE.fullmatch(obligation_id):
         raise SchemaError(f"{where}: obligation_id {obligation_id!r} "
                           "must be a plain identifier")
     where = f"record {obligation_id!r}"
@@ -257,8 +257,10 @@ def _build_record(item: dict, where: str) -> IrRecord:
 # Knowledge blocks
 # ---------------------------------------------------------------------------
 
-class KnowledgeBlock(Record, frozen=False):
-    """⟨obligations, concepts, shapes, evidence requirements, provenance⟩."""
+class KnowledgeBlock(Record):
+    """⟨obligations, concepts, shapes, evidence requirements, provenance⟩.
+
+    Unhashable, because its concept ``Graph`` is."""
 
     name: str
     obligations: frozenset[str]

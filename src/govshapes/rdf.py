@@ -325,11 +325,12 @@ def union(a: Graph, b: Graph) -> Graph:
 _SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
 _IRIREF = r"[^<> \t\r\n]*"  # what may stand between '<' and '>'
 _IRIREF_RE = re.compile(_IRIREF)
-_PN_LOCAL_RE = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_.\-]*$")
+# whole-string patterns, for .fullmatch: ^...$ with .match would also
+# accept a final newline
+_PN_LOCAL_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.\-]*")
 _DOUBLE = r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)[eE][+-]?[0-9]+"
-_INTEGER_RE = re.compile(r"^[+-]?[0-9]+$")
-_DECIMAL_RE = re.compile(r"^[+-]?[0-9]+\.[0-9]+$")
-_DOUBLE_RE = re.compile(rf"^{_DOUBLE}$")
+_DECIMAL_RE = re.compile(r"[+-]?[0-9]+\.[0-9]+")
+_DOUBLE_RE = re.compile(_DOUBLE)
 
 # A name goes on with word characters and '-'; a '.' belongs to it only
 # when more name characters follow, so a trailing dot ends the statement.
@@ -497,6 +498,30 @@ class _Parser:
         datatype = _LITERAL_DATATYPES.get(tok.kind)
         return None if datatype is None else Literal(tok.value, datatype)
 
+    def _predicate_object_list(self, subject, verb, obj, triple, add,
+                               ends: tuple[str, ...]) -> None:
+        """``verb obj (, obj)* (; verb obj (, obj)*)*``, the production Turtle
+        and SPARQL share. ``verb()`` and ``obj()`` parse one predicate and
+        one object, ``triple(subject, predicate, object)`` builds each
+        triple and ``add`` takes it, in order; one dangling ``;`` may stand
+        before a token in ``ends``. Punctuation is tested by its text: only
+        a string token can hold the same text, and it never counts."""
+        tokens = self.tokens
+        while True:
+            predicate = verb()
+            add(triple(subject, predicate, obj()))
+            tok = tokens[self.idx]
+            while tok.value == "," and tok.kind != "string":
+                self.idx += 1
+                add(triple(subject, predicate, obj()))
+                tok = tokens[self.idx]
+            if tok.value != ";" or tok.kind == "string":
+                return
+            self.idx += 1
+            tok = tokens[self.idx]
+            if tok.value in ends and tok.kind != "string":
+                return
+
     def run(self):
         """``parse()``; nesting deeper than the interpreter's recursion
         limit allows is a syntax error at the token where it stopped."""
@@ -547,9 +572,12 @@ class _TurtleParser(_Parser):
         self.graph.bind(tok.value[:-1], iri_tok.value)
 
     def _triples_block(self):
-        subject = self._subject()
-        self._predicate_object_list(subject)
+        self._statements(self._subject())
         self._expect("dot")
+
+    def _statements(self, subject: Term):
+        self._predicate_object_list(subject, self._verb, self._object, Triple,
+                                    self.graph.add, (".", "]"))
 
     def _subject(self) -> Term:
         tok = self._peek()
@@ -574,35 +602,15 @@ class _TurtleParser(_Parser):
             raise _syntax_error(self.text, tok.pos, f"expected IRI, found {tok.kind}")
         return term
 
-    def _predicate_object_list(self, subject: Term):
-        while True:
-            predicate = self._verb()
-            self._object_list(subject, predicate)
-            if self._peek().kind == "semi":
-                self._next()
-                # tolerate a trailing ';' before '.' or ']'
-                if self._peek().kind in ("dot", "rbracket"):
-                    return
-                continue
-            return
-
     def _verb(self) -> Iri:
         tok = self._peek()
         if tok.kind == "a":
             self._next()
             return RDF.type
         if tok.kind in ("iriref", "pname"):
-            return self._iri_term()
+            self._next()
+            return self._term(tok)
         raise _syntax_error(self.text, tok.pos, f"expected predicate, found {tok.kind}")
-
-    def _object_list(self, subject: Term, predicate: Iri):
-        while True:
-            obj = self._object()
-            self.graph.add(Triple(subject, predicate, obj))
-            if self._peek().kind == "comma":
-                self._next()
-                continue
-            return
 
     def _object(self) -> Term:
         tok = self._peek()
@@ -626,7 +634,7 @@ class _TurtleParser(_Parser):
         self._expect("lbracket")
         node = self._fresh_bnode()
         if self._peek().kind != "rbracket":
-            self._predicate_object_list(node)
+            self._statements(node)
         self._expect("rbracket")
         return node
 
@@ -771,7 +779,7 @@ class _Serializer:
             if not iri.value.startswith(ns):
                 continue
             local = iri.value[len(ns):]
-            if local and _PN_LOCAL_RE.match(local) and not local.endswith("."):
+            if _PN_LOCAL_RE.fullmatch(local) and not local.endswith("."):
                 self.used_prefixes.add(label)
                 text = f"{label}:{local}"
                 break
@@ -782,11 +790,11 @@ class _Serializer:
         if lit.language is not None:
             return self._quote(lit.lexical) + "@" + lit.language
         dt = lit.datatype
-        if dt == XSD.integer and _INTEGER_RE.match(lit.lexical):
+        if dt == XSD.integer and in_lexical_space(lit):
             return lit.lexical
-        if dt == XSD.decimal and _DECIMAL_RE.match(lit.lexical):
+        if dt == XSD.decimal and _DECIMAL_RE.fullmatch(lit.lexical):
             return lit.lexical
-        if dt == XSD.double and _DOUBLE_RE.match(lit.lexical):
+        if dt == XSD.double and _DOUBLE_RE.fullmatch(lit.lexical):
             return lit.lexical
         if dt == XSD.boolean and lit.lexical in ("true", "false"):
             return lit.lexical

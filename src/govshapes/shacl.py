@@ -194,12 +194,16 @@ class ValidationReport(Record, uncompared=("elapsed_ms", "diagnostics")):
 # Shape loading
 # ---------------------------------------------------------------------------
 
+_SH_CLASS = SH.term("class")
+# The facets that each give one constraint its one value, in the order the
+# loader reads them: (facet, constraint class, the field holding the value)
+_FACETS = ((SH.minCount, MinCount, "count"), (SH.maxCount, MaxCount, "count"),
+           (SH.datatype, Datatype, "datatype"), (_SH_CLASS, ClassConstraint, "cls"))
+_FACET_OF = {cls: (facet, field) for facet, cls, field in _FACETS}
 _SHAPE_PREDICATES = {RDF.type, SH.targetClass, SH.message, SH.severity,
                      SH.property, SH.sparql}
-_PROPERTY_PREDICATES = {SH.path, SH.minCount, SH.maxCount, SH.datatype,
-                        Iri(SH.base + "class"), SH.nodeKind, SH.message,
-                        SH.qualifiedValueShape, SH.qualifiedMinCount}
-_SH_CLASS = Iri(SH.base + "class")
+_PROPERTY_PREDICATES = {SH.path, SH.nodeKind, SH.message, SH.qualifiedValueShape,
+                        SH.qualifiedMinCount} | {facet for facet, _, _ in _FACETS}
 
 
 def _single(graph: Graph, subject: Term, predicate: Iri, what: str,
@@ -289,18 +293,12 @@ def _load_property(graph: Graph, node: Term, label: str) -> list[Constraint]:
     message = _as_string(msg_term, f"{label} sh:message") if msg_term else None
 
     out: list[Constraint] = []
-    term = _single(graph, node, SH.minCount, f"{label} sh:minCount", required=False)
-    if term is not None:
-        out.append(MinCount(path, _as_int(term, f"{label} sh:minCount"), message))
-    term = _single(graph, node, SH.maxCount, f"{label} sh:maxCount", required=False)
-    if term is not None:
-        out.append(MaxCount(path, _as_int(term, f"{label} sh:maxCount"), message))
-    term = _single(graph, node, SH.datatype, f"{label} sh:datatype", required=False)
-    if term is not None:
-        out.append(Datatype(path, _as_iri(term, f"{label} sh:datatype"), message))
-    term = _single(graph, node, _SH_CLASS, f"{label} sh:class", required=False)
-    if term is not None:
-        out.append(ClassConstraint(path, _as_iri(term, f"{label} sh:class"), message))
+    for facet, cls, field in _FACETS:
+        what = f"{label} {qname(facet)}"
+        term = _single(graph, node, facet, what, required=False)
+        if term is not None:
+            value = _as_int(term, what) if field == "count" else _as_iri(term, what)
+            out.append(cls(path, value, message))
     term = _single(graph, node, SH.nodeKind, f"{label} sh:nodeKind", required=False)
     if term is not None:
         if term != SH.IRI:
@@ -382,14 +380,11 @@ def emit_shapes_graph(shapes: list[NodeShape],
             if members[0].message is not None:
                 g.add(Triple(node, SH.message, Literal(members[0].message)))
             for c in members:
-                if isinstance(c, MinCount):
-                    g.add(Triple(node, SH.minCount, Literal(str(c.count), XSD.integer)))
-                elif isinstance(c, MaxCount):
-                    g.add(Triple(node, SH.maxCount, Literal(str(c.count), XSD.integer)))
-                elif isinstance(c, Datatype):
-                    g.add(Triple(node, SH.datatype, c.datatype))
-                elif isinstance(c, ClassConstraint):
-                    g.add(Triple(node, _SH_CLASS, c.cls))
+                if type(c) in _FACET_OF:
+                    facet, field = _FACET_OF[type(c)]
+                    value = getattr(c, field)
+                    g.add(Triple(node, facet, Literal(str(value), XSD.integer)
+                                 if field == "count" else value))
                 elif isinstance(c, NodeKindIri):
                     g.add(Triple(node, SH.nodeKind, SH.IRI))
                 elif isinstance(c, QualifiedMinCountClass):
@@ -526,7 +521,7 @@ def emit_report_graph(report: ValidationReport) -> Graph:
 
 def read_report(graph: Graph) -> ValidationReport:
     """Inverse of emit_report_graph, up to elapsed time and diagnostics."""
-    roots = [t.subject for t in graph.match(None, RDF.type, SH.ValidationReport)]
+    roots = graph.subjects_of_type(SH.ValidationReport)
     if len(roots) != 1:
         raise MalformedShapeError(f"expected one report node, found {len(roots)}")
     root = roots[0]

@@ -31,8 +31,8 @@ import re
 
 from ._record import Record
 from .errors import SparqlSyntaxError, TypeMismatchError, UnboundVariableError
-from .rdf import (_CATCH_ALL, _TERMS, RDF, XSD, Graph, Iri, Literal, Term, _Parser,
-                  _Token, in_lexical_space, is_numeric_literal)
+from .rdf import (_CATCH_ALL, _TERMS, RDF, STANDARD_PREFIXES, XSD, Graph, Iri, Literal,
+                  Term, _Parser, _Token, in_lexical_space, is_numeric_literal)
 
 Binding = dict[str, Term]
 
@@ -222,34 +222,15 @@ class _QueryParser(_Parser):
                 self._next()
                 clauses.append(self._filter())
             else:
-                clauses.extend(self._triple_block())
+                self._predicate_object_list(
+                    self._pattern_term("subject"), self._pattern_verb,
+                    lambda: self._pattern_term("object"), TriplePattern, clauses.append,
+                    (".", "}"))
             # statement separator is optional before '}' and after BIND/FILTER
             if self._peek().kind == "op" and self._peek().value == ".":
                 self._next()
 
     # -- triple patterns -------------------------------------------------
-
-    def _triple_block(self) -> list[TriplePattern]:
-        subject = self._pattern_term(position="subject")
-        patterns: list[TriplePattern] = []
-        while True:
-            predicate = self._pattern_verb()
-            while True:
-                obj = self._pattern_term(position="object")
-                patterns.append(TriplePattern(subject, predicate, obj))
-                if self._peek().kind == "op" and self._peek().value == ",":
-                    self._next()
-                    continue
-                break
-            if self._peek().kind == "op" and self._peek().value == ";":
-                self._next()
-                # tolerate a dangling ';'
-                nxt = self._peek()
-                if nxt.kind == "op" and nxt.value in (".", "}"):
-                    break
-                continue
-            break
-        return patterns
 
     def _pattern_verb(self) -> Term | Var:
         if self._peek().kind == "a":
@@ -393,10 +374,7 @@ def parse_sparql(text: str, prefixes: dict[str, str] | None = None) -> SparqlQue
     ``prefixes`` supplies the prefix bindings in scope (queries carry no
     PREFIX headers of their own); defaults to the standard bundle.
     """
-    if prefixes is None:
-        from .rdf import STANDARD_PREFIXES
-        prefixes = STANDARD_PREFIXES
-    return _QueryParser(text, prefixes).run()
+    return _QueryParser(text, STANDARD_PREFIXES if prefixes is None else prefixes).run()
 
 
 # ---------------------------------------------------------------------------

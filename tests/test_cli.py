@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from govshapes import corpus
 from govshapes.cli import main
 from govshapes.governance import serialize_profile
-from govshapes.rdf import EX, SH, parse_turtle
+from govshapes.rdf import EX, SH, XSD, Literal, parse_turtle
 from govshapes.shacl import load_shapes, read_report
 
 
@@ -87,6 +87,18 @@ def test_compile_rejects_names_the_reader_rejects(tmp_path, capsys, name):
     assert main(["compile", str(src), "-o", str(out)]) == 2
     assert capsys.readouterr().err == (
         f"error: record 'A1' target_class: {name!r} is not a valid absolute IRI\n")
+    assert not out.exists()
+
+
+def test_compile_rejects_an_obligation_id_with_a_trailing_newline(tmp_path, capsys):
+    # the identifier would end up inside an IRI that no reader accepts
+    src = tmp_path / "newline.ir.yaml"
+    src.write_text(corpus.block_source("logging").replace(
+        "obligation_id: A1", 'obligation_id: "A1\\n"', 1), "utf-8")
+    out = tmp_path / "newline.ttl"
+    assert main(["compile", str(src), "-o", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: record 0: obligation_id 'A1\\n' "
+                                       "must be a plain identifier\n")
     assert not out.exists()
 
 
@@ -194,6 +206,41 @@ def test_validate_run_log_hashes_the_report_graph(tmp_path, capsys):
         str(case): hashlib.sha256(case.read_bytes()).hexdigest()}
     assert record["command"].startswith("validate ")
     assert record["diagnostics"] == 0
+
+
+def test_validate_text_mode_without_run_log_builds_no_report_graph(
+        tmp_path, capsys, monkeypatch):
+    def unused(*args):
+        raise AssertionError("the report graph has no reader")
+    monkeypatch.setattr("govshapes.cli.emit_report_graph", unused)
+    monkeypatch.setattr("govshapes.cli.serialize_turtle", unused)
+    case = write_case(tmp_path, "exp1_violate")
+    assert main(["validate", str(case), "--profile", "US"]) == 1
+    assert capsys.readouterr().out == \
+        "ex:A2Shape\tex:log001\tUsage log must carry a dateTime timestamp.\n"
+
+
+def test_validate_run_log_hash_is_the_same_in_text_and_turtle_mode(tmp_path, capsys):
+    case = write_case(tmp_path, "exp1_violate")
+    log = tmp_path / "runs.jsonl"
+    for fmt in ("text", "turtle"):
+        assert main(["validate", str(case), "--profile", "US", "--format", fmt,
+                     "--run-log", str(log)]) == 1
+    report_text = capsys.readouterr().out.split("\n", 1)[1]
+    text_record, turtle_record = [json.loads(line) for line in log.read_text().splitlines()]
+    assert text_record["report_hash"] == turtle_record["report_hash"] == \
+        hashlib.sha256(report_text.encode("utf-8")).hexdigest()
+
+
+def test_validate_turtle_report_keeps_a_numeral_with_a_trailing_newline(
+        tmp_path, capsys):
+    case = tmp_path / "case_newline.ttl"
+    case.write_text(corpus.case_source("exp1_violate").replace(
+        'ex:timestamp "2025-11-03T14:21:07"', 'ex:timestamp "12\\n"^^xsd:integer'),
+        "utf-8")
+    assert main(["validate", str(case), "--profile", "US", "--format", "turtle"]) == 1
+    (violation,) = read_report(parse_turtle(capsys.readouterr().out)).violations
+    assert violation.value == Literal("12\n", XSD.integer)
 
 
 def test_validate_prints_diagnostics_to_stderr(tmp_path, capsys):

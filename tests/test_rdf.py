@@ -347,6 +347,36 @@ def test_parse_comments_and_trailing_semicolon():
     assert len(g) == 1
 
 
+EX_PREFIX = "@prefix ex: <http://example.org/okb#> .\n"
+
+
+@pytest.mark.parametrize("source", [
+    "ex:s ex:p ex:o ; .",
+    "ex:s ex:p [ ex:q ex:o ; ] .",
+    "[ ex:q ex:o ; ] ex:p ex:o ; .",
+])
+def test_parse_dangling_semicolon_before_each_end_token(source):
+    g = parse_turtle(EX_PREFIX + source)
+    assert EX.o in {t.object for t in g}
+
+
+def test_parse_strings_spelled_as_punctuation_are_objects():
+    g = parse_turtle(EX_PREFIX + 'ex:s ex:p ",", ";" ; ex:q ".", "]" .')
+    assert {(t.predicate, t.object.lexical) for t in g} == {
+        (EX.p, ","), (EX.p, ";"), (EX.q, "."), (EX.q, "]")}
+
+
+@pytest.mark.parametrize("source, fragment", [
+    ('ex:s ex:p "a" "," "b" .', "expected dot, found string"),
+    ('ex:s ex:p "a" ";" ex:q "b" .', "expected dot, found string"),
+    ('ex:s ex:p "a" ; "." .', "expected predicate, found string"),
+    ('ex:s ex:p [ ex:q "a" ; "]" .', "expected predicate, found string"),
+])
+def test_parse_string_never_stands_for_punctuation(source, fragment):
+    with pytest.raises(TurtleSyntaxError, match=fragment):
+        parse_turtle(EX_PREFIX + source)
+
+
 def test_parse_absolute_iriref():
     g = parse_turtle("<http://a.test/s> <http://a.test/p> <urn:x:1> .")
     assert Triple(Iri("http://a.test/s"), Iri("http://a.test/p"),
@@ -500,6 +530,16 @@ def test_bare_doubles_round_trip():
               prefixes={"ex": EX.base})
     text = serialize_turtle(g)
     assert "ex:p0 1.e5 ;" in text and "ex:p1 .5e3 ;" in text
+    assert parse_turtle(text) == g
+
+
+@pytest.mark.parametrize("lexical, datatype", [
+    ("12\n", XSD.integer), ("1.5\n", XSD.decimal), ("1e3\n", XSD.double)])
+def test_numeral_with_a_trailing_newline_round_trips(lexical, datatype):
+    g = Graph([Triple(EX.s, EX.p, Literal(lexical, datatype))],
+              prefixes={"ex": EX.base, "xsd": XSD.base})
+    text = serialize_turtle(g)
+    assert f'"""{lexical}"""^^xsd:' in text
     assert parse_turtle(text) == g
 
 

@@ -136,14 +136,18 @@ def test_ir_record_query_is_derived_and_not_a_field():
     assert IrRecord("X", EX.T, "structural", "m", relation=EX.p).query is None
 
 
-def test_knowledge_block_is_mutable_and_unhashable():
+def test_knowledge_block_is_frozen_and_unhashable():
     block = empty_block()
-    block.name = "renamed"
-    assert block.name == "renamed"
-    assert block != empty_block() and empty_block() == empty_block()
-    with pytest.raises(TypeError):
+    with pytest.raises(AttributeError):
+        block.name = "renamed"
+    with pytest.raises(AttributeError):
+        del block.concepts
+    assert block.name == "empty"
+    with pytest.raises(TypeError, match="Graph is not hashable"):
         hash(block)
-    assert KnowledgeBlock.__hash__ is None
+    assert block == empty_block() and block != empty_block("renamed")
+    assert block != KnowledgeBlock("empty", frozenset({"A1"}), block.concepts,
+                                   (), frozenset(), frozenset())
 
 
 def test_repr_matches_the_dataclass_text():
@@ -175,6 +179,17 @@ def test_import_loads_no_dataclasses_inspect_or_logging():
             "import govshapes; "
             "print(sorted({'dataclasses', 'inspect', 'logging'}"
             " & (set(sys.modules) - before)))")
+    out = subprocess.run([sys.executable, "-I", "-c", code, src], capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"
+
+
+def test_cli_import_loads_no_hashlib_or_statistics():
+    # only --run-log and hash-manifest hash, and only bench takes a median
+    src = str(Path(govshapes.__file__).resolve().parents[1])
+    code = ("import sys; before = set(sys.modules); sys.path.insert(0, sys.argv[1]); "
+            "import govshapes.cli; "
+            "print(sorted({'hashlib', 'statistics'} & (set(sys.modules) - before)))")
     out = subprocess.run([sys.executable, "-I", "-c", code, src], capture_output=True,
                          text=True, check=True).stdout
     assert out == "[]\n"

@@ -65,6 +65,30 @@ def test_parse_a_keyword_and_literals():
                        Literal('a "b"\nc'), EX.Decision]
 
 
+@pytest.mark.parametrize("group", [
+    "$this ex:p ?v ; . FILTER(?v = 1)", "$this ex:p ?v ; ", "$this ex:p ?v ;"])
+def test_parse_dangling_semicolon_before_each_end_token(group):
+    query = q("SELECT $this WHERE { " + group + "}")
+    assert query.clauses[0] == TriplePattern(Var("this"), EX.p, Var("v"))
+
+
+def test_parse_strings_spelled_as_punctuation_are_objects():
+    query = q('SELECT $this WHERE { $this ex:p ",", ";" ; ex:q ".", "]", "}" . }')
+    assert [(c.predicate, c.object.lexical) for c in query.clauses] == [
+        (EX.p, ","), (EX.p, ";"), (EX.q, "."), (EX.q, "]"), (EX.q, "}")]
+
+
+@pytest.mark.parametrize("group, fragment", [
+    ('$this ex:p "a" "," "b"', "expected subject term, found ','"),
+    ('$this ex:p "a" ";" ex:q "b"', "expected subject term, found ';'"),
+    ('$this ex:p "a" ; "." ', "expected predicate term, found '.'"),
+    ('$this ex:p "a" ; "}" ', "expected predicate term, found '}'"),
+])
+def test_parse_string_never_stands_for_punctuation(group, fragment):
+    with pytest.raises(SparqlSyntaxError, match=fragment):
+        q("SELECT $this WHERE { " + group + "}")
+
+
 def test_parse_iriref_and_var_positions():
     query = q("SELECT $this ?p WHERE { $this ?p <http://o.test/v> }")
     (pattern,) = [c for c in query.clauses if isinstance(c, TriplePattern)]
