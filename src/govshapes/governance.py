@@ -18,7 +18,7 @@ from __future__ import annotations
 from ._record import Record
 from .errors import (ConflictingShapeBodiesError, SchemaError, UnknownBlockError,
                      UnknownProfileError)
-from .ir import KnowledgeBlock, empty_block, merge_severity, parse_ir, compile_block
+from .ir import KnowledgeBlock, merge_severity, parse_ir, compile_block
 from .rdf import STANDARD_PREFIXES, Graph, union
 from .shacl import NodeShape, ValidationReport, Violation, shape_violations, validate
 from .sparql import EvalDiagnostic
@@ -94,17 +94,13 @@ def compose(blocks: list[KnowledgeBlock]) -> KnowledgeBlock:
     for block in blocks:
         concepts = union(concepts, block.concepts)
 
-    names = sorted({b.name for b in blocks})
     return KnowledgeBlock(
-        name="+".join(names) if names else "empty",
-        obligations=frozenset().union(*(b.obligations for b in blocks))
-        if blocks else frozenset(),
+        name="+".join(sorted({b.name for b in blocks})) if blocks else "empty",
+        obligations=frozenset().union(*(b.obligations for b in blocks)),
         concepts=concepts,
         shapes=shapes,
-        evidence_requirements=frozenset().union(
-            *(b.evidence_requirements for b in blocks)) if blocks else frozenset(),
-        provenance_links=frozenset().union(
-            *(b.provenance_links for b in blocks)) if blocks else frozenset(),
+        evidence_requirements=frozenset().union(*(b.evidence_requirements for b in blocks)),
+        provenance_links=frozenset().union(*(b.provenance_links for b in blocks)),
     )
 
 

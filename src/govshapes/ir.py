@@ -22,10 +22,10 @@ import yaml
 from ._record import Record
 from .errors import DuplicateIdError, SchemaError, UnknownPrefixError
 from .rdf import (_IRIREF_RE, _SCHEME_RE, EX, PROV, RDF, RDFS, STANDARD_PREFIXES,
-                  Graph, Iri, Triple, union)
+                  Graph, Iri, Triple, _iri_text, union)
 from .shacl import (Constraint, Datatype, MinCount, NodeShape,
                     QualifiedMinCountClass, Severity, SparqlConstraint,
-                    _constraint_sort_key, emit_shapes_graph, qname)
+                    _constraint_sort_key, emit_shapes_graph)
 from .sparql import SparqlQuery, TriplePattern, Var, parse_sparql
 
 _ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -47,7 +47,7 @@ _LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 def merge_severity(a: Severity, b: Severity) -> Severity:
     """The stricter of two severities (Violation > Warning > Info)."""
-    return a if a.rank >= b.rank else b
+    return max(a, b)
 
 
 class IrRecord(Record):
@@ -104,6 +104,14 @@ def _need_str(item: dict, key: str, where: str) -> str:
     if not isinstance(value, str) or not value.strip():
         raise SchemaError(f"{where}: field {key!r} must be a non-empty string")
     return value
+
+
+def _name(item: dict, key: str, where: str, required: bool = True) -> Iri | None:
+    """The IRI that field ``key`` names; None when it is absent and not
+    ``required``."""
+    if not required and key not in item:
+        return None
+    return _resolve_name(_need_str(item, key, where), f"{where} {key}")
 
 
 _TAG = "tag:yaml.org,2002:"
@@ -197,8 +205,7 @@ def _build_record(item: dict, where: str) -> IrRecord:
         raise SchemaError(f"{where}: obligation_id {obligation_id!r} "
                           "must be a plain identifier")
     where = f"record {obligation_id!r}"
-    target_class = _resolve_name(_need_str(item, "target_class", where),
-                                 f"{where} target_class")
+    target_class = _name(item, "target_class", where)
     constraint_type = _need_str(item, "constraint_type", where)
     if constraint_type not in ("structural", "sparql"):
         raise SchemaError(f"{where}: constraint_type must be "
@@ -219,15 +226,9 @@ def _build_record(item: dict, where: str) -> IrRecord:
                           f"{constraint_type} records")
 
     if constraint_type == "structural":
-        relation = _resolve_name(_need_str(item, "relation", where),
-                                 f"{where} relation")
-        datatype = value_class = None
-        if "datatype" in item:
-            datatype = _resolve_name(_need_str(item, "datatype", where),
-                                     f"{where} datatype")
-        if "value_class" in item:
-            value_class = _resolve_name(_need_str(item, "value_class", where),
-                                        f"{where} value_class")
+        relation = _name(item, "relation", where)
+        datatype = _name(item, "datatype", where, required=False)
+        value_class = _name(item, "value_class", where, required=False)
         min_count = 1
         if "min_count" in item:
             if not isinstance(item["min_count"], int) or item["min_count"] < 0:
@@ -239,16 +240,14 @@ def _build_record(item: dict, where: str) -> IrRecord:
                         value_class=value_class, min_count=min_count)
 
     sparql_text = _need_str(item, "sparql_text", where)
-    threshold_ref = None
-    if "threshold_ref" in item:
-        threshold_ref = _resolve_name(_need_str(item, "threshold_ref", where),
-                                      f"{where} threshold_ref")
+    threshold_ref = _name(item, "threshold_ref", where, required=False)
     if _THRESHOLD_PLACEHOLDER in sparql_text:
         if threshold_ref is None:
             raise SchemaError(f"{where}: query uses {_THRESHOLD_PLACEHOLDER} "
                               "but no threshold_ref is given")
-        sparql_text = sparql_text.replace(_THRESHOLD_PLACEHOLDER,
-                                          qname(threshold_ref))
+        # the standard namespaces do not nest, so their order does not matter
+        text, _ = _iri_text(threshold_ref.value, STANDARD_PREFIXES.items())
+        sparql_text = sparql_text.replace(_THRESHOLD_PLACEHOLDER, text)
     return IrRecord(obligation_id, target_class, "sparql", message, severity,
                     sparql_text=sparql_text, threshold_ref=threshold_ref)
 

@@ -328,9 +328,31 @@ _IRIREF_RE = re.compile(_IRIREF)
 # whole-string patterns, for .fullmatch: ^...$ with .match would also
 # accept a final newline
 _PN_LOCAL_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.\-]*")
-_DOUBLE = r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)[eE][+-]?[0-9]+"
-_DECIMAL_RE = re.compile(r"[+-]?[0-9]+\.[0-9]+")
-_DOUBLE_RE = re.compile(_DOUBLE)
+# A numeral, as the lexer reads it and the serializer writes it bare: a
+# double, an integer or decimal, or a signed decimal with no digit before
+# the point (".5" alone would end a statement)
+_NUMERAL = (r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)[eE][+-]?[0-9]+"
+            r"|[+-]?[0-9]+(?:\.[0-9]+)?|[+-]\.[0-9]+")
+_NUMERAL_RE = re.compile(_NUMERAL)
+
+
+def _numeral_kind(numeral: str) -> str:
+    """The token kind of a numeral: double, decimal or integer."""
+    return ("double" if "e" in numeral or "E" in numeral
+            else "decimal" if "." in numeral else "integer")
+
+
+def _iri_text(value: str, namespaces) -> tuple[str, str | None]:
+    """An IRI as Turtle and the query lexer read it, with the label used:
+    ``label:local`` for the first (label, namespace) pair that leaves a
+    whole local name, else ``<value>`` and None."""
+    for label, ns in namespaces:
+        if value.startswith(ns):
+            local = value[len(ns):]
+            if _PN_LOCAL_RE.fullmatch(local) and not local.endswith("."):
+                return f"{label}:{local}", label
+    return f"<{value}>", None
+
 
 # A name goes on with word characters and '-'; a '.' belongs to it only
 # when more name characters follow, so a trailing dot ends the statement.
@@ -339,16 +361,15 @@ _NAME = r"[^\W\d_]" + _LOCAL
 
 # A language's token pattern is _TERMS, then its own alternatives, then
 # _CATCH_ALL. _TERMS holds layout and the term fragments both languages
-# share; its numeral reads back every double the serializer writes bare.
-# Every alternative consumes at least one character and the last takes
-# any character, so finditer covers the text without gaps. A group named
-# in _ERRORS marks input that cannot start a token.
+# share. Every alternative consumes at least one character and the last
+# takes any character, so finditer covers the text without gaps. A group
+# named in _ERRORS marks input that cannot start a token.
 _TERMS = rf'''
     (?P<skip>(?:[ \t\r\n]|\#[^\n]*)+)
   | (?P<pname>{_NAME}:{_LOCAL})
   | (?P<string>"""(?:[^"\\]|\\[\s\S]|"(?!""))*"""|"(?!"")(?:[^"\\\n]|\\.)*")
   | <(?P<iriref>{_IRIREF})>
-  | (?P<number>{_DOUBLE}|[+-]?[0-9]+(?:\.[0-9]+)?|[+-]\.[0-9]+)
+  | (?P<number>{_NUMERAL})
 '''
 _CATCH_ALL = r'''
   | (?P<bad_string>")
@@ -452,8 +473,7 @@ def _tokenize(text: str, token_re: re.Pattern, error) -> list[_Token]:
             if _WORD_RE.match(text, m.end()):
                 raise error(text, pos, "malformed numeric literal "
                             f"{text[pos:m.end() + 1]!r}")
-            kind = ("double" if "e" in value or "E" in value
-                    else "decimal" if "." in value else "integer")
+            kind = _numeral_kind(value)
         elif kind == "name":
             kind = _KEYWORDS.get(value, kind)
         tokens.append(_Token(kind, value, pos))
@@ -500,12 +520,13 @@ class _Parser:
 
     def _predicate_object_list(self, subject, verb, obj, triple, add,
                                ends: tuple[str, ...]) -> None:
-        """``verb obj (, obj)* (; verb obj (, obj)*)*``, the production Turtle
-        and SPARQL share. ``verb()`` and ``obj()`` parse one predicate and
-        one object, ``triple(subject, predicate, object)`` builds each
-        triple and ``add`` takes it, in order; one dangling ``;`` may stand
-        before a token in ``ends``. Punctuation is tested by its text: only
-        a string token can hold the same text, and it never counts."""
+        """``verb obj (, obj)* (;+ verb obj (, obj)*)*``, the production
+        Turtle and SPARQL share. ``verb()`` and ``obj()`` parse one
+        predicate and one object, ``triple(subject, predicate, object)``
+        builds each triple and ``add`` takes it, in order; a dangling run
+        of ``;`` may stand before a token in ``ends``. Punctuation is
+        tested by its text: only a string token can hold the same text,
+        and it never counts."""
         tokens = self.tokens
         while True:
             predicate = verb()
@@ -517,8 +538,9 @@ class _Parser:
                 tok = tokens[self.idx]
             if tok.value != ";" or tok.kind == "string":
                 return
-            self.idx += 1
-            tok = tokens[self.idx]
+            while tok.value == ";" and tok.kind != "string":
+                self.idx += 1
+                tok = tokens[self.idx]
             if tok.value in ends and tok.kind != "string":
                 return
 
@@ -581,14 +603,9 @@ class _TurtleParser(_Parser):
 
     def _subject(self) -> Term:
         tok = self._peek()
-        if tok.kind in ("iriref", "pname"):
-            return self._iri_term()
-        if tok.kind == "blank":
-            self._next()
-            return self._doc_label(tok.value)
-        if tok.kind == "lbracket":
-            return self._bnode_property_list()
-        raise _syntax_error(self.text, tok.pos, f"expected subject, found {tok.kind}")
+        if tok.kind not in ("iriref", "pname", "blank", "lbracket"):
+            raise _syntax_error(self.text, tok.pos, f"expected subject, found {tok.kind}")
+        return self._object()
 
     def _doc_label(self, label: str) -> BlankNode:
         if label not in self._doc_labels:
@@ -772,34 +789,24 @@ class _Serializer:
 
     def _render_iri(self, iri: Iri) -> str:
         text = self.iri_texts.get(iri.value)
-        if text is not None:
-            return text
-        text = f"<{iri.value}>"
-        for label, ns in self.ns_by_length:
-            if not iri.value.startswith(ns):
-                continue
-            local = iri.value[len(ns):]
-            if _PN_LOCAL_RE.fullmatch(local) and not local.endswith("."):
+        if text is None:
+            text, label = _iri_text(iri.value, self.ns_by_length)
+            if label is not None:
                 self.used_prefixes.add(label)
-                text = f"{label}:{local}"
-                break
-        self.iri_texts[iri.value] = text
+            self.iri_texts[iri.value] = text
         return text
 
     def _render_literal(self, lit: Literal) -> str:
         if lit.language is not None:
             return self._quote(lit.lexical) + "@" + lit.language
         dt = lit.datatype
-        if dt == XSD.integer and in_lexical_space(lit):
-            return lit.lexical
-        if dt == XSD.decimal and _DECIMAL_RE.fullmatch(lit.lexical):
-            return lit.lexical
-        if dt == XSD.double and _DOUBLE_RE.fullmatch(lit.lexical):
-            return lit.lexical
-        if dt == XSD.boolean and lit.lexical in ("true", "false"):
-            return lit.lexical
         if dt == XSD.string:
             return self._quote(lit.lexical)
+        if dt == XSD.boolean and lit.lexical in ("true", "false"):
+            return lit.lexical
+        if (_NUMERAL_RE.fullmatch(lit.lexical)
+                and _LITERAL_DATATYPES[_numeral_kind(lit.lexical)] == dt):
+            return lit.lexical
         return self._quote(lit.lexical) + "^^" + self._render_iri(dt)
 
     def _quote(self, s: str) -> str:

@@ -46,10 +46,6 @@ class Severity(enum.Enum):
     VIOLATION = "Violation"
 
     @property
-    def rank(self) -> int:
-        return _SEVERITY_RANKS[self.value]
-
-    @property
     def iri(self) -> Iri:
         return SH.term(self.value)
 
@@ -68,7 +64,7 @@ class Severity(enum.Enum):
         raise MalformedShapeError(f"unknown severity {name!r}")
 
     def __lt__(self, other: "Severity") -> bool:
-        return self.rank < other.rank
+        return _SEVERITY_RANKS[self.value] < _SEVERITY_RANKS[other.value]
 
 
 # ---------------------------------------------------------------------------
@@ -206,16 +202,40 @@ _PROPERTY_PREDICATES = {SH.path, SH.nodeKind, SH.message, SH.qualifiedValueShape
                         SH.qualifiedMinCount} | {facet for facet, _, _ in _FACETS}
 
 
-def _single(graph: Graph, subject: Term, predicate: Iri, what: str,
-            required: bool = True) -> Term | None:
-    values = [t.object for t in graph.match(subject, predicate)]
+def _facets(graph: Graph, node: Term) -> dict[Iri, list[Term]]:
+    """Each predicate of ``node`` with its objects, in canonical order,
+    from one ``match``."""
+    facets: dict[Iri, list[Term]] = {}
+    for t in graph.match(node):
+        facets.setdefault(t.predicate, []).append(t.object)
+    return facets
+
+
+def _supported(facets: dict[Iri, list[Term]], allowed, unsupported) -> None:
+    """Raise UnsupportedConstraintError(unsupported(p)) for the first
+    predicate ``p`` of ``facets`` outside ``allowed``."""
+    for predicate in facets:
+        if predicate not in allowed:
+            raise UnsupportedConstraintError(unsupported(predicate))
+
+
+def _single(facets: dict[Iri, list[Term]], predicate: Iri, what: str,
+            convert=None, required: bool = True):
+    """The one value of ``predicate``, passed through ``convert(value,
+    what)`` when given; None when it is absent and not ``required``."""
+    values = facets.get(predicate, ())
     if len(values) > 1:
         raise MalformedShapeError(f"{what} has {len(values)} values, expected one")
     if not values:
         if required:
             raise MalformedShapeError(f"{what} is missing")
         return None
-    return values[0]
+    return values[0] if convert is None else convert(values[0], what)
+
+
+def _message(facets: dict[Iri, list[Term]], label: str) -> str | None:
+    """The sh:message a shape, property or query node may carry."""
+    return _single(facets, SH.message, f"{label} sh:message", _as_string, required=False)
 
 
 def _as_int(term: Term, what: str) -> int:
@@ -225,13 +245,17 @@ def _as_int(term: Term, what: str) -> int:
     return int(term.lexical)
 
 
-def _as_iri(term: Term | None, what: str) -> Iri:
+def _as_iri(term: Term, what: str) -> Iri:
     if not isinstance(term, Iri):
         raise MalformedShapeError(f"{what} must be an IRI")
     return term
 
 
-def _as_string(term: Term | None, what: str) -> str:
+def _as_severity(term: Term, what: str) -> Severity:
+    return Severity.from_iri(_as_iri(term, what))
+
+
+def _as_string(term: Term, what: str) -> str:
     if not isinstance(term, Literal) or term.datatype != XSD.string:
         raise MalformedShapeError(f"{what} must be a string literal")
     return term.lexical
@@ -253,27 +277,24 @@ def load_shapes(graph: Graph) -> list[NodeShape]:
 
 def _load_shape(graph: Graph, iri: Iri) -> NodeShape:
     label = qname(iri)
-    for t in graph.match(iri):
-        if t.predicate not in _SHAPE_PREDICATES:
-            raise UnsupportedConstraintError(
-                f"{label}: unsupported shape facet {qname(t.predicate)}")
-    target = _as_iri(_single(graph, iri, SH.targetClass, f"{label} sh:targetClass"),
-                     f"{label} sh:targetClass")
-    message_term = _single(graph, iri, SH.message, f"{label} sh:message", required=False)
-    message = _as_string(message_term, f"{label} sh:message") if message_term else None
-    sev_term = _single(graph, iri, SH.severity, f"{label} sh:severity", required=False)
-    severity = Severity.from_iri(_as_iri(sev_term, f"{label} sh:severity")) \
-        if sev_term else Severity.VIOLATION
+    facets = _facets(graph, iri)
+    _supported(facets, _SHAPE_PREDICATES,
+               lambda p: f"{label}: unsupported shape facet {qname(p)}")
+    target = _single(facets, SH.targetClass, f"{label} sh:targetClass", _as_iri)
+    message = _message(facets, label)
+    severity = _single(facets, SH.severity, f"{label} sh:severity", _as_severity,
+                       required=False)
 
     constraints: list[Constraint] = []
-    for t in graph.match(iri, SH.property):
-        constraints.extend(_load_property(graph, t.object, label))
-    for t in graph.match(iri, SH.sparql):
-        constraints.append(_load_sparql(graph, t.object, label))
+    for node in facets.get(SH.property, ()):
+        constraints.extend(_load_property(graph, node, label))
+    for node in facets.get(SH.sparql, ()):
+        constraints.append(_load_sparql(graph, node, label))
     if not constraints:
         raise MalformedShapeError(f"{label} declares no constraints")
     constraints.sort(key=_constraint_sort_key)
-    return NodeShape(iri, target, tuple(constraints), severity, message)
+    return NodeShape(iri, target, tuple(constraints), severity or Severity.VIOLATION,
+                     message)
 
 
 def _constraint_sort_key(c: Constraint) -> tuple:
@@ -283,42 +304,36 @@ def _constraint_sort_key(c: Constraint) -> tuple:
 
 
 def _load_property(graph: Graph, node: Term, label: str) -> list[Constraint]:
-    for t in graph.match(node):
-        if t.predicate not in _PROPERTY_PREDICATES:
-            raise UnsupportedConstraintError(
-                f"{label}: unsupported property facet {qname(t.predicate)}")
-    path = _as_iri(_single(graph, node, SH.path, f"{label} sh:path"),
-                   f"{label} sh:path")
-    msg_term = _single(graph, node, SH.message, f"{label} sh:message", required=False)
-    message = _as_string(msg_term, f"{label} sh:message") if msg_term else None
+    facets = _facets(graph, node)
+    _supported(facets, _PROPERTY_PREDICATES,
+               lambda p: f"{label}: unsupported property facet {qname(p)}")
+    path = _single(facets, SH.path, f"{label} sh:path", _as_iri)
+    message = _message(facets, label)
 
     out: list[Constraint] = []
     for facet, cls, field in _FACETS:
-        what = f"{label} {qname(facet)}"
-        term = _single(graph, node, facet, what, required=False)
-        if term is not None:
-            value = _as_int(term, what) if field == "count" else _as_iri(term, what)
+        value = _single(facets, facet, f"{label} {qname(facet)}",
+                        _as_int if field == "count" else _as_iri, required=False)
+        if value is not None:
             out.append(cls(path, value, message))
-    term = _single(graph, node, SH.nodeKind, f"{label} sh:nodeKind", required=False)
-    if term is not None:
-        if term != SH.IRI:
+    kind = _single(facets, SH.nodeKind, f"{label} sh:nodeKind", required=False)
+    if kind is not None:
+        if kind != SH.IRI:
             raise UnsupportedConstraintError(
                 f"{label}: only sh:IRI node kind is supported")
         out.append(NodeKindIri(path, message))
-    qvs = _single(graph, node, SH.qualifiedValueShape,
+    qvs = _single(facets, SH.qualifiedValueShape,
                   f"{label} sh:qualifiedValueShape", required=False)
-    qmin = _single(graph, node, SH.qualifiedMinCount,
+    qmin = _single(facets, SH.qualifiedMinCount,
                    f"{label} sh:qualifiedMinCount", required=False)
     if (qvs is None) != (qmin is None):
         raise MalformedShapeError(
             f"{label}: sh:qualifiedValueShape and sh:qualifiedMinCount go together")
     if qvs is not None:
-        for t in graph.match(qvs):
-            if t.predicate != _SH_CLASS:
-                raise UnsupportedConstraintError(
-                    f"{label}: qualified value shapes support sh:class only")
-        cls = _as_iri(_single(graph, qvs, _SH_CLASS, f"{label} qualified sh:class"),
-                      f"{label} qualified sh:class")
+        qualified = _facets(graph, qvs)
+        _supported(qualified, (_SH_CLASS,),
+                   lambda p: f"{label}: qualified value shapes support sh:class only")
+        cls = _single(qualified, _SH_CLASS, f"{label} qualified sh:class", _as_iri)
         out.append(QualifiedMinCountClass(
             path, cls, _as_int(qmin, f"{label} sh:qualifiedMinCount"), message))
     if not out:
@@ -327,17 +342,13 @@ def _load_property(graph: Graph, node: Term, label: str) -> list[Constraint]:
 
 
 def _load_sparql(graph: Graph, node: Term, label: str) -> SparqlConstraint:
-    types = [t.object for t in graph.match(node, RDF.type)]
-    if SH.SPARQLConstraint not in types:
+    facets = _facets(graph, node)
+    if SH.SPARQLConstraint not in facets.get(RDF.type, ()):
         raise MalformedShapeError(f"{label}: sh:sparql node must be a sh:SPARQLConstraint")
-    for t in graph.match(node):
-        if t.predicate not in (RDF.type, SH.select, SH.message):
-            raise UnsupportedConstraintError(
-                f"{label}: unsupported query facet {qname(t.predicate)}")
-    select = _as_string(_single(graph, node, SH.select, f"{label} sh:select"),
-                        f"{label} sh:select")
-    msg_term = _single(graph, node, SH.message, f"{label} sh:message", required=False)
-    message = _as_string(msg_term, f"{label} sh:message") if msg_term else None
+    _supported(facets, (RDF.type, SH.select, SH.message),
+               lambda p: f"{label}: unsupported query facet {qname(p)}")
+    select = _single(facets, SH.select, f"{label} sh:select", _as_string)
+    message = _message(facets, label)
     prefixes = dict(STANDARD_PREFIXES)
     prefixes.update(graph.prefixes)
     query = parse_sparql(select, prefixes)
@@ -348,8 +359,7 @@ def _load_sparql(graph: Graph, node: Term, label: str) -> SparqlConstraint:
 # Shape emission
 # ---------------------------------------------------------------------------
 
-def emit_shapes_graph(shapes: list[NodeShape],
-                      prefixes: dict[str, str] | None = None) -> Graph:
+def emit_shapes_graph(shapes: list[NodeShape]) -> Graph:
     """Inverse of load_shapes: render shapes as a graph.
 
     Structural constraints sharing a path and message collapse into one
@@ -357,7 +367,7 @@ def emit_shapes_graph(shapes: list[NodeShape],
     emit(load(emit(x))) is stable. The default severity is left implicit
     rather than asserted.
     """
-    g = Graph(prefixes=dict(prefixes or STANDARD_PREFIXES))
+    g = Graph(prefixes=dict(STANDARD_PREFIXES))
     for i, shape in enumerate(shapes):
         g.add(Triple(shape.iri, RDF.type, SH.NodeShape))
         g.add(Triple(shape.iri, SH.targetClass, shape.target_class))
@@ -524,27 +534,22 @@ def read_report(graph: Graph) -> ValidationReport:
     roots = graph.subjects_of_type(SH.ValidationReport)
     if len(roots) != 1:
         raise MalformedShapeError(f"expected one report node, found {len(roots)}")
-    root = roots[0]
-    conforms_term = _single(graph, root, SH.conforms, "sh:conforms")
+    root = _facets(graph, roots[0])
+    conforms_term = _single(root, SH.conforms, "sh:conforms")
     if not (isinstance(conforms_term, Literal)
             and conforms_term.datatype == XSD.boolean):
         raise MalformedShapeError("sh:conforms must be a boolean literal")
     violations = []
-    for t in graph.match(root, SH.result):
-        node = t.object
-        focus = _single(graph, node, SH.focusNode, "sh:focusNode")
-        source = _as_iri(_single(graph, node, SH.sourceShape, "sh:sourceShape"),
-                         "sh:sourceShape")
-        sev = Severity.from_iri(_as_iri(
-            _single(graph, node, SH.resultSeverity, "sh:resultSeverity"),
-            "sh:resultSeverity"))
-        message = _as_string(_single(graph, node, SH.resultMessage, "sh:resultMessage"),
-                             "sh:resultMessage")
-        path_term = _single(graph, node, SH.resultPath, "sh:resultPath", required=False)
-        value_term = _single(graph, node, SH.value, "sh:value", required=False)
+    for node in root.get(SH.result, ()):
+        facets = _facets(graph, node)
+        focus = _single(facets, SH.focusNode, "sh:focusNode")
+        source = _single(facets, SH.sourceShape, "sh:sourceShape", _as_iri)
+        severity = _single(facets, SH.resultSeverity, "sh:resultSeverity", _as_severity)
+        message = _single(facets, SH.resultMessage, "sh:resultMessage", _as_string)
+        path = _single(facets, SH.resultPath, "sh:resultPath", required=False)
+        value = _single(facets, SH.value, "sh:value", required=False)
         violations.append(Violation(
-            source, focus, message, sev,
-            _as_iri(path_term, "sh:resultPath") if path_term is not None else None,
-            value_term))
+            source, focus, message, severity,
+            None if path is None else _as_iri(path, "sh:resultPath"), value))
     violations.sort(key=_violation_sort_key)
     return ValidationReport(conforms_term.lexical == "true", tuple(violations))

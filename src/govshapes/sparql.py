@@ -220,7 +220,7 @@ class _QueryParser(_Parser):
                 clauses.append(self._bind())
             elif kw == "FILTER":
                 self._next()
-                clauses.append(self._filter())
+                clauses.append(FilterClause(*self._arguments(1)))
             else:
                 self._predicate_object_list(
                     self._pattern_term("subject"), self._pattern_verb,
@@ -260,11 +260,15 @@ class _QueryParser(_Parser):
         self._expect_op(")")
         return BindClause(expr, tok.value[1:])
 
-    def _filter(self) -> FilterClause:
+    def _arguments(self, count: int) -> list[Expression]:
+        """``( expr (, expr)* )`` with ``count`` expressions."""
         self._expect_op("(")
-        expr = self._expression()
+        args = [self._expression()]
+        for _ in range(count - 1):
+            self._expect_op(",")
+            args.append(self._expression())
         self._expect_op(")")
-        return FilterClause(expr)
+        return args
 
     # -- expressions ---------------------------------------------------------
     # precedence: the _BINARY levels < unary < primary
@@ -300,11 +304,10 @@ class _QueryParser(_Parser):
         return expr
 
     def _primary(self) -> Expression:
-        tok = self._next()
+        tok = self._peek()
         if tok.kind == "op" and tok.value == "(":
-            expr = self._expression()
-            self._expect_op(")")
-            return expr
+            return self._arguments(1)[0]
+        self._next()
         if tok.kind == "var":
             return VarRef(tok.value[1:])
         term = self._term(tok)
@@ -313,19 +316,9 @@ class _QueryParser(_Parser):
             return _CONSTANTS.get(type(value), TermConst)(value)
         kw = self._keyword(tok)
         if kw == "ABS":
-            self._expect_op("(")
-            arg = self._expression()
-            self._expect_op(")")
-            return AbsCall(arg)
+            return AbsCall(*self._arguments(1))
         if kw == "IF":
-            self._expect_op("(")
-            cond = self._expression()
-            self._expect_op(",")
-            then = self._expression()
-            self._expect_op(",")
-            els = self._expression()
-            self._expect_op(")")
-            return IfCall(cond, then, els)
+            return IfCall(*self._arguments(3))
         raise SparqlSyntaxError(f"expected expression, found {tok.value!r}")
 
 
@@ -421,15 +414,9 @@ def eval_expression(expr: Expression, binding: Binding) -> float | bool | Term:
     if isinstance(expr, Arith):
         left = _as_number(eval_expression(expr.left, binding))
         right = _as_number(eval_expression(expr.right, binding))
-        if expr.op == "+":
-            return left + right
-        if expr.op == "-":
-            return left - right
-        if expr.op == "*":
-            return left * right
-        if right == 0.0:
+        if expr.op == "/" and right == 0.0:
             raise TypeMismatchError("division by zero")
-        return left / right
+        return _ARITHMETIC[expr.op](left, right)
     if isinstance(expr, IfCall):
         cond = eval_expression(expr.cond, binding)
         if not isinstance(cond, bool):
@@ -461,6 +448,8 @@ def _describe(value) -> str:
     return type(value).__name__
 
 
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+               "/": operator.truediv}
 _COMPARISONS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
                 ">": operator.gt, "<=": operator.le, ">=": operator.ge}
 

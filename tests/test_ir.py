@@ -119,6 +119,24 @@ def test_threshold_ref_outside_standard_prefixes_inlines_the_iri():
     assert "<http://other.test/t>" in rec.sparql_text
 
 
+def test_threshold_ref_without_a_whole_local_name_is_written_as_an_iri():
+    # "ex:fairnessThreshold." is no prefixed name the query lexer reads:
+    # the final dot would end the triple pattern
+    (rec,) = records("""
+        - obligation_id: R1
+          target_class: ex:T
+          constraint_type: sparql
+          threshold_ref: ex:fairnessThreshold.
+          message: M.
+          sparql_text: |-
+            SELECT $this WHERE { $this {{threshold}} ?t . FILTER(?t > 0) }
+    """)
+    threshold = Iri(EX.base + "fairnessThreshold.")
+    assert rec.threshold_ref == threshold
+    assert f"<{threshold.value}>" in rec.sparql_text
+    assert rec.query.clauses[0].predicate == threshold
+
+
 @pytest.mark.parametrize("source, fragment", [
     ("obligation_id: A1", "sequence of records"),
     ("- 3", "record 0: expected a mapping"),

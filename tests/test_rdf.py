@@ -360,6 +360,22 @@ def test_parse_dangling_semicolon_before_each_end_token(source):
     assert EX.o in {t.object for t in g}
 
 
+def test_parse_run_of_semicolons_before_a_verb():
+    g = parse_turtle(EX_PREFIX + "ex:s ex:p ex:o ;; ex:q ex:r ; ;\n ; ex:t ex:u .")
+    assert {(t.predicate, t.object) for t in g} == {
+        (EX.p, EX.o), (EX.q, EX.r), (EX.t, EX.u)}
+
+
+@pytest.mark.parametrize("source", [
+    "ex:s ex:p ex:o ; ; .",
+    "ex:s ex:p [ ex:q ex:o ; ; ] .",
+    "[ ex:q ex:o ;; ] ex:p ex:o ; ; ; .",
+])
+def test_parse_run_of_semicolons_before_each_end_token(source):
+    g = parse_turtle(EX_PREFIX + source)
+    assert EX.o in {t.object for t in g}
+
+
 def test_parse_strings_spelled_as_punctuation_are_objects():
     g = parse_turtle(EX_PREFIX + 'ex:s ex:p ",", ";" ; ex:q ".", "]" .')
     assert {(t.predicate, t.object.lexical) for t in g} == {
@@ -530,6 +546,29 @@ def test_bare_doubles_round_trip():
               prefixes={"ex": EX.base})
     text = serialize_turtle(g)
     assert "ex:p0 1.e5 ;" in text and "ex:p1 .5e3 ;" in text
+    assert parse_turtle(text) == g
+
+
+_NUMERAL_FORMS = ["".join(chars) for n in range(1, 5)
+                  for chars in itertools.product("0+-.e", repeat=n)]
+
+
+@pytest.mark.parametrize("datatype", [XSD.integer, XSD.decimal, XSD.double])
+def test_every_short_numeral_round_trips(datatype):
+    # 780 lexical forms per datatype, written bare or quoted
+    g = Graph([Triple(EX.s, EX.term(f"p{i}"), Literal(lexical, datatype))
+               for i, lexical in enumerate(_NUMERAL_FORMS)],
+              prefixes={"ex": EX.base, "xsd": XSD.base})
+    assert len(g) == 780
+    assert parse_turtle(serialize_turtle(g)) == g
+
+
+def test_signed_decimal_without_leading_digit_is_written_bare():
+    g = Graph([Triple(EX.s, EX.p, Literal("+.5", XSD.decimal)),
+               Triple(EX.s, EX.q, Literal(".5", XSD.decimal))],
+              prefixes={"ex": EX.base, "xsd": XSD.base})
+    text = serialize_turtle(g)
+    assert "ex:p +.5 ;" in text and 'ex:q ".5"^^xsd:decimal .' in text
     assert parse_turtle(text) == g
 
 

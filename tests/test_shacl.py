@@ -531,3 +531,95 @@ def test_oracle_agrees_on_reference_query_inside_validation():
     report = validate([shape], g)
     rows, _ = oracle.brute_force(shape.constraints[0].query, g, EX.d)
     assert len(report.violations) == len(rows) == 1
+
+
+# ---------------------------------------------------------------------------
+# Reader messages and the order in which they are raised
+# ---------------------------------------------------------------------------
+
+def load_error(body):
+    with pytest.raises((MalformedShapeError, UnsupportedConstraintError)) as info:
+        load_shapes(shape_graph(body))
+    return type(info.value), str(info.value)
+
+
+def test_qualified_shape_with_an_extra_facet_names_no_facet():
+    assert load_error(
+        "ex:S a sh:NodeShape ; sh:targetClass ex:T ; sh:property [ sh:path ex:p ;"
+        " sh:qualifiedValueShape [ sh:class ex:C ; sh:minCount 1 ] ;"
+        " sh:qualifiedMinCount 1 ] .") == (
+        UnsupportedConstraintError, "ex:S: qualified value shapes support sh:class only")
+
+
+def test_qualified_min_count_is_paired_before_it_is_converted():
+    assert load_error(
+        "ex:S a sh:NodeShape ; sh:targetClass ex:T ;"
+        " sh:property [ sh:path ex:p ; sh:qualifiedMinCount \"x\" ] .") == (
+        MalformedShapeError,
+        "ex:S: sh:qualifiedValueShape and sh:qualifiedMinCount go together")
+
+
+def test_query_node_type_is_checked_before_its_facets():
+    assert load_error(
+        "ex:S a sh:NodeShape ; sh:targetClass ex:T ;"
+        " sh:sparql [ sh:select \"SELECT $this WHERE { $this ex:p ?v }\" ;"
+        " sh:prefixes ex:ns ] .") == (
+        MalformedShapeError, "ex:S: sh:sparql node must be a sh:SPARQLConstraint")
+
+
+_PROPERTY = "sh:path ex:p ; sh:minCount 1"
+_QUERY = "a sh:SPARQLConstraint ; sh:select \"SELECT $this WHERE { $this ex:p ?v }\""
+
+
+@pytest.mark.parametrize("body, what", [
+    ("sh:targetClass ex:T, ex:U ; sh:property [ %s ]" % _PROPERTY, "sh:targetClass"),
+    ("sh:targetClass ex:T ; sh:message \"a\", \"b\" ; sh:property [ %s ]" % _PROPERTY,
+     "sh:message"),
+    ("sh:targetClass ex:T ; sh:severity sh:Info, sh:Warning ; sh:property [ %s ]"
+     % _PROPERTY, "sh:severity"),
+    ("sh:targetClass ex:T ; sh:property [ sh:path ex:p, ex:q ; sh:minCount 1 ]",
+     "sh:path"),
+    ("sh:targetClass ex:T ; sh:property [ %s ; sh:message \"a\", \"b\" ]" % _PROPERTY,
+     "sh:message"),
+    *[("sh:targetClass ex:T ; sh:property [ sh:path ex:p ; %s ]" % facets, what)
+      for facets, what in (("sh:minCount 1, 2", "sh:minCount"),
+                           ("sh:maxCount 1, 2", "sh:maxCount"),
+                           ("sh:datatype xsd:string, xsd:integer", "sh:datatype"),
+                           ("sh:class ex:C, ex:D", "sh:class"),
+                           ("sh:nodeKind sh:IRI, sh:Literal", "sh:nodeKind"),
+                           ("sh:qualifiedValueShape [ sh:class ex:C ], [ sh:class ex:D ] ;"
+                            " sh:qualifiedMinCount 1", "sh:qualifiedValueShape"),
+                           ("sh:qualifiedValueShape [ sh:class ex:C ] ;"
+                            " sh:qualifiedMinCount 1, 2", "sh:qualifiedMinCount"),
+                           ("sh:qualifiedValueShape [ sh:class ex:C, ex:D ] ;"
+                            " sh:qualifiedMinCount 1", "qualified sh:class"))],
+    ("sh:targetClass ex:T ; sh:sparql [ %s, \"SELECT $this WHERE { }\" ]" % _QUERY,
+     "sh:select"),
+    ("sh:targetClass ex:T ; sh:sparql [ %s ; sh:message \"a\", \"b\" ]" % _QUERY,
+     "sh:message"),
+])
+def test_shape_readers_reject_a_duplicated_facet(body, what):
+    assert load_error(f"ex:S a sh:NodeShape ; {body} .") == (
+        MalformedShapeError, f"ex:S {what} has 2 values, expected one")
+
+
+_RESULT = {"sh:focusNode": "ex:d", "sh:sourceShape": "ex:S",
+           "sh:resultSeverity": "sh:Violation", "sh:resultMessage": "\"m\"",
+           "sh:resultPath": "ex:p", "sh:value": "ex:v"}
+_SECOND = {"sh:focusNode": "ex:e", "sh:sourceShape": "ex:T",
+           "sh:resultSeverity": "sh:Warning", "sh:resultMessage": "\"n\"",
+           "sh:resultPath": "ex:q", "sh:value": "ex:w"}
+
+
+@pytest.mark.parametrize("predicate", ["sh:conforms", *_RESULT])
+def test_report_reader_rejects_a_duplicated_facet(predicate):
+    conforms = "false, true" if predicate == "sh:conforms" else "false"
+    result = " ; ".join(f"{p} {o}, {_SECOND[p]}" if p == predicate else f"{p} {o}"
+                        for p, o in _RESULT.items())
+    text = ("@prefix ex: <http://example.org/okb#> .\n"
+            "@prefix sh: <http://www.w3.org/ns/shacl#> .\n"
+            f"_:r a sh:ValidationReport ; sh:conforms {conforms} ;"
+            f" sh:result [ a sh:ValidationResult ; {result} ] .")
+    with pytest.raises(MalformedShapeError) as info:
+        read_report(parse_turtle(text))
+    assert str(info.value) == f"{predicate} has 2 values, expected one"

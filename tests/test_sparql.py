@@ -72,6 +72,20 @@ def test_parse_dangling_semicolon_before_each_end_token(group):
     assert query.clauses[0] == TriplePattern(Var("this"), EX.p, Var("v"))
 
 
+def test_parse_run_of_semicolons_before_a_verb():
+    query = q("SELECT $this WHERE { $this ex:p ?v ;; ex:q ?w ; ; ex:r ?x }")
+    assert query.clauses == (TriplePattern(Var("this"), EX.p, Var("v")),
+                             TriplePattern(Var("this"), EX.q, Var("w")),
+                             TriplePattern(Var("this"), EX.r, Var("x")))
+
+
+@pytest.mark.parametrize("group", [
+    "$this ex:p ?v ; ; . FILTER(?v = 1)", "$this ex:p ?v ; ; ", "$this ex:p ?v ;;"])
+def test_parse_run_of_semicolons_before_each_end_token(group):
+    query = q("SELECT $this WHERE { " + group + "}")
+    assert query.clauses[0] == TriplePattern(Var("this"), EX.p, Var("v"))
+
+
 def test_parse_strings_spelled_as_punctuation_are_objects():
     query = q('SELECT $this WHERE { $this ex:p ",", ";" ; ex:q ".", "]", "}" . }')
     assert [(c.predicate, c.object.lexical) for c in query.clauses] == [
