@@ -9,7 +9,8 @@ documents need:
   - string literals (short and triple-quoted long form), ``^^`` typed
     literals, language tags, numeric shorthand (integer / decimal /
     double) written with the ASCII digits ``0-9`` only, booleans
-  - blank node property lists ``[ ... ]``, labelled blank nodes ``_:x``
+  - blank node property lists ``[ ... ]``, also as a statement of their
+    own (``[ ex:p ex:o ] .``), labelled blank nodes ``_:x``
   - predicate lists ``;`` and object lists ``,``
 
 Collections ``( )``, base IRIs, and relative IRIs are rejected. The
@@ -210,6 +211,8 @@ def in_lexical_space(lit: Literal) -> bool:
 # ---------------------------------------------------------------------------
 
 _Index = dict[Term, list[Triple]]
+_SubjectIndex = dict[Term, dict[Iri, list[Triple]]]
+_EMPTY: dict = {}  # the default of a lookup that misses; never written
 
 
 class Graph:
@@ -221,17 +224,22 @@ class Graph:
     threads.
 
     The first read after the last ``add`` sorts the triples and builds
-    hash indexes keyed by subject, by predicate and by object, each
-    bucket in canonical order; ``add`` drops both. Each is assigned in a
-    single statement, so a concurrent reader sees either none or all of
-    it.
+    three hash indexes, subject -> predicate -> triples (the SPO layout of
+    Hexastore), predicate -> triples and object -> triples, each bucket in
+    canonical order; ``add`` drops both. Each is assigned in a single
+    statement, so a concurrent reader sees either none or all of it.
+
+    ``match`` with a subject reads that subject's predicate map: with the
+    predicate too it is two dictionary lookups and a copy of the bucket.
+    Without a subject it reads the shorter of the predicate and object
+    buckets given, keeping the triples that agree with the other.
     """
 
     def __init__(self, triples=(), prefixes: dict[str, str] | None = None):
         self._triples: set[Triple] = set(triples)
         self._prefixes: dict[str, str] = dict(prefixes or {})
         self._sorted: list[Triple] | None = None
-        self._index: tuple[_Index, _Index, _Index] | None = None
+        self._index: tuple[_SubjectIndex, _Index, _Index] | None = None
 
     @property
     def prefixes(self) -> dict[str, str]:
@@ -268,18 +276,18 @@ class Graph:
             self._sorted = sorted(self._triples, key=triple_sort_key)
         return self._sorted
 
-    def _indexes(self) -> tuple[_Index, _Index, _Index]:
-        """The subject, predicate and object indexes."""
+    def _indexes(self) -> tuple[_SubjectIndex, _Index, _Index]:
+        """The subject-predicate, predicate and object indexes."""
         index = self._index
         if index is None:
-            by_s: _Index = {}
+            by_sp: _SubjectIndex = {}
             by_p: _Index = {}
             by_o: _Index = {}
             for t in self.sorted_triples():
-                by_s.setdefault(t.subject, []).append(t)
+                by_sp.setdefault(t.subject, {}).setdefault(t.predicate, []).append(t)
                 by_p.setdefault(t.predicate, []).append(t)
                 by_o.setdefault(t.object, []).append(t)
-            index = self._index = (by_s, by_p, by_o)
+            index = self._index = (by_sp, by_p, by_o)
         return index
 
     def match(self, s: Term | None = None, p: Term | None = None,
@@ -290,13 +298,24 @@ class Graph:
         is returned in canonical order so downstream joins stay
         deterministic.
         """
-        buckets = [index.get(term, ()) for index, term in zip(self._indexes(), (s, p, o))
-                   if term is not None]
-        if not buckets:
-            return list(self.sorted_triples())
-        return [t for t in min(buckets, key=len)
-                if (s is None or t.subject == s) and (p is None or t.predicate == p)
-                and (o is None or t.object == o)]
+        by_sp, by_p, by_o = self._indexes()
+        if s is not None:
+            by_pred = by_sp.get(s, _EMPTY)
+            if p is not None:
+                found = by_pred.get(p, ())
+                return list(found) if o is None else [t for t in found if t.object == o]
+            # the predicates were inserted in canonical order
+            return [t for bucket in by_pred.values() for t in bucket
+                    if o is None or t.object == o]
+        if o is None:
+            return list(self.sorted_triples() if p is None else by_p.get(p, ()))
+        found = by_o.get(o, ())
+        if p is None:
+            return list(found)
+        candidates = by_p.get(p, ())
+        if len(candidates) < len(found):
+            return [t for t in candidates if t.object == o]
+        return [t for t in found if t.predicate == p]
 
     def subjects_of_type(self, cls: Iri) -> list[Term]:
         """The distinct instances of ``cls``, in canonical order."""
@@ -360,12 +379,21 @@ _LOCAL = r"[\w-]*(?:\.+[\w-]+)*"
 _NAME = r"[^\W\d_]" + _LOCAL
 
 # A language's token pattern is _TERMS, then its own alternatives, then
-# _CATCH_ALL. _TERMS holds layout and the term fragments both languages
-# share. Every alternative consumes at least one character and the last
-# takes any character, so finditer covers the text without gaps. A group
-# named in _ERRORS marks input that cannot start a token.
+# _CATCH_ALL. Each match is one token: the layout before it (group 1: any
+# run of spaces, tabs, line ends and comments, written as a run of blanks
+# followed by comments each trailed by blanks, which the engine matches
+# faster), then one alternative. _TERMS opens the group of alternatives
+# with the end of text and the term fragments both languages share;
+# _CATCH_ALL closes it. Every alternative but the end of text consumes a
+# character and the last takes any character, so finditer covers the text
+# without gaps and ends at an ``eof`` token, and the engine never
+# backtracks into the layout (which is why it need not be possessive, a
+# form Python 3.10 lacks). A group named in _ERRORS marks input that
+# cannot start a token.
 _TERMS = rf'''
-    (?P<skip>(?:[ \t\r\n]|\#[^\n]*)+)
+    ([ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*)
+  (?:
+    (?P<eof>\Z)
   | (?P<pname>{_NAME}:{_LOCAL})
   | (?P<string>"""(?:[^"\\]|\\[\s\S]|"(?!""))*"""|"(?!"")(?:[^"\\\n]|\\.)*")
   | <(?P<iriref>{_IRIREF})>
@@ -374,6 +402,7 @@ _TERMS = rf'''
 _CATCH_ALL = r'''
   | (?P<bad_string>")
   | (?P<bad_char>[\s\S])
+  )
 '''
 
 # Turtle's only bare words are the keywords, each a whole name: no name
@@ -452,9 +481,7 @@ def _tokenize(text: str, token_re: re.Pattern, error) -> list[_Token]:
     """
     tokens = []
     for m in token_re.finditer(text):
-        kind, pos = m.lastgroup, m.start()
-        if kind == "skip":
-            continue
+        kind, pos = m.lastgroup, m.end(1)
         value = m[kind]
         if kind in _ERRORS:
             raise error(text, pos, _ERRORS[kind].format(value))
@@ -477,7 +504,8 @@ def _tokenize(text: str, token_re: re.Pattern, error) -> list[_Token]:
         elif kind == "name":
             kind = _KEYWORDS.get(value, kind)
         tokens.append(_Token(kind, value, pos))
-    tokens.append(_Token("eof", "", len(text)))
+        if kind == "eof":  # text ending in layout would match eof twice
+            break
     return tokens
 
 
@@ -487,6 +515,10 @@ class _Parser:
     ``token_re`` and ``error`` are the language's token pattern and error
     builder, as ``_tokenize`` takes them; ``prefixes`` resolves prefixed
     names. A subclass supplies ``parse``.
+
+    Equal IRIs read in one parse are one ``Iri`` object, so dictionary
+    lookups between them stop at the identity test. ``iris`` is keyed by
+    the resolved IRI, so rebinding a prefix needs no invalidation.
     """
 
     def __init__(self, text: str, token_re: re.Pattern, error,
@@ -494,6 +526,7 @@ class _Parser:
         self.text = text
         self.error = error
         self.prefixes = prefixes
+        self.iris: dict[str, Iri] = {RDF.type.value: RDF.type}  # 'a' is RDF.type
         self.tokens = _tokenize(text, token_re, error)
         self.idx = 0
 
@@ -508,15 +541,20 @@ class _Parser:
     def _term(self, tok: _Token) -> Iri | Literal | None:
         """The IRI or literal ``tok`` stands for, or None for any other token."""
         if tok.kind == "iriref":
-            return Iri(tok.value)
-        if tok.kind == "pname":
+            value = tok.value
+        elif tok.kind == "pname":
             prefix, _, local = tok.value.partition(":")
             ns = self.prefixes.get(prefix)
             if ns is None:
                 raise self.error(self.text, tok.pos, f"undefined prefix '{prefix}:'")
-            return Iri(ns + local)
-        datatype = _LITERAL_DATATYPES.get(tok.kind)
-        return None if datatype is None else Literal(tok.value, datatype)
+            value = ns + local
+        else:
+            datatype = _LITERAL_DATATYPES.get(tok.kind)
+            return None if datatype is None else Literal(tok.value, datatype)
+        iri = self.iris.get(value)
+        if iri is None:
+            iri = self.iris[value] = Iri(value)
+        return iri
 
     def _predicate_object_list(self, subject, verb, obj, triple, add,
                                ends: tuple[str, ...]) -> None:
@@ -594,7 +632,13 @@ class _TurtleParser(_Parser):
         self.graph.bind(tok.value[:-1], iri_tok.value)
 
     def _triples_block(self):
-        self._statements(self._subject())
+        # blankNodePropertyList predicateObjectList? : "[ ex:p ex:o ] ." is
+        # a statement, "[] ." is not
+        tokens, idx = self.tokens, self.idx
+        listed = tokens[idx].kind == "lbracket" and tokens[idx + 1].kind != "rbracket"
+        subject = self._subject()
+        if not (listed and self._peek().kind == "dot"):
+            self._statements(subject)
         self._expect("dot")
 
     def _statements(self, subject: Term):
@@ -670,7 +714,23 @@ def parse_turtle(source: str) -> Graph:
 # Canonical serializer
 # ---------------------------------------------------------------------------
 
+def _predicate_sort_key(p: Iri) -> tuple:
+    """``a`` first, then predicates by IRI."""
+    return (0,) if p == RDF.type else (1, p.value)
+
+
 class _Serializer:
+    """The canonical text of one graph.
+
+    One pass over the graph's triple set, in set order and without
+    sorting, builds ``by_subject`` (subject -> predicate -> objects) and
+    ``refs`` (blank node -> the number of triples naming it as object).
+    So the order of those dictionaries depends on the hash seed. It never
+    reaches the output: subjects, predicates and objects are sorted where
+    they are rendered, and every sort key is total, a blank node's input
+    label breaking the last ties.
+    """
+
     def __init__(self, graph: Graph):
         self.graph = graph
         self.used_prefixes: set[str] = set()
@@ -678,7 +738,14 @@ class _Serializer:
         # longest-namespace-first so nested namespaces resolve correctly
         self.ns_by_length = sorted(graph.prefixes.items(),
                                    key=lambda kv: (-len(kv[1]), kv[0]))
-        self.by_subject, _, self.by_object = graph._indexes()
+        by_subject: dict[Term, dict[Iri, list[Term]]] = {}
+        refs: dict[BlankNode, int] = {}
+        for t in graph._triples:
+            o = t.object
+            by_subject.setdefault(t.subject, {}).setdefault(t.predicate, []).append(o)
+            if isinstance(o, BlankNode):
+                refs[o] = refs.get(o, 0) + 1
+        self.by_subject, self.refs = by_subject, refs
 
     # -- blank node canonical content keys ---------------------------------
 
@@ -688,9 +755,9 @@ class _Serializer:
         # caller happened to stand, making labels depend on input order
         if b in stack:
             return "~cycle~"
-        parts = []
-        for t in self.by_subject.get(b, []):
-            parts.append(t.predicate.value + "=" + self._object_key(t.object, stack + (b,)))
+        stack += (b,)
+        parts = [p.value + "=" + self._object_key(o, stack)
+                 for p, objs in self.by_subject.get(b, _EMPTY).items() for o in objs]
         return "(" + ";".join(sorted(parts)) + ")"
 
     def _object_key(self, o: Term, stack: tuple) -> str:
@@ -701,28 +768,27 @@ class _Serializer:
     def _is_cyclic(self, b: BlankNode, stack: tuple = ()) -> bool:
         if b in stack:
             return True
-        return any(isinstance(t.object, BlankNode)
-                   and self._is_cyclic(t.object, stack + (b,))
-                   for t in self.by_subject.get(b, []))
+        return any(isinstance(o, BlankNode) and self._is_cyclic(o, stack + (b,))
+                   for objs in self.by_subject.get(b, _EMPTY).values() for o in objs)
 
     # -- rendering ----------------------------------------------------------
 
     def render(self) -> str:
         # blank nodes needing a stable label: multiply referenced or cyclic
         labelled = sorted(
-            (b for b in set(self.by_subject) | set(self.by_object)
+            (b for b in self.refs.keys() | self.by_subject.keys()
              if isinstance(b, BlankNode)
-             and (len(self.by_object.get(b, ())) >= 2 or self._is_cyclic(b))),
-            key=lambda b: (self.content_key(b), b.label))
+             and (self.refs.get(b, 0) >= 2 or self._is_cyclic(b))),
+            key=self._bnode_sort_key)
         self.labels = {b: f"c{i}" for i, b in enumerate(labelled)}
 
         iri_subjects = sorted((s for s in self.by_subject if isinstance(s, Iri)),
                               key=term_sort_key)
         root_bnodes = sorted(
             (s for s in self.by_subject
-             if isinstance(s, BlankNode) and s not in self.by_object
+             if isinstance(s, BlankNode) and s not in self.refs
              and s not in self.labels),
-            key=self.content_key)
+            key=self._bnode_sort_key)
         labelled_subjects = sorted((b for b in self.labels if b in self.by_subject),
                                    key=lambda b: self.labels[b])
 
@@ -748,21 +814,18 @@ class _Serializer:
         return out
 
     def _grouped(self, s: Term) -> list[tuple[Iri, list[Term]]]:
-        by_pred: dict[Iri, list[Term]] = {}
-        for t in self.by_subject.get(s, []):
-            by_pred.setdefault(t.predicate, []).append(t.object)
-        def pred_key(p: Iri):
-            return (0,) if p == RDF.type else (1, p.value)
-        out = []
-        for p in sorted(by_pred, key=pred_key):
-            objs = sorted(by_pred[p], key=self._object_sort_key)
-            out.append((p, objs))
-        return out
+        by_pred = self.by_subject.get(s, _EMPTY)
+        return [(p, sorted(by_pred[p], key=self._object_sort_key))
+                for p in sorted(by_pred, key=_predicate_sort_key)]
+
+    def _bnode_sort_key(self, b: BlankNode) -> tuple:
+        return self.content_key(b), b.label
 
     def _object_sort_key(self, o: Term) -> tuple:
         if isinstance(o, BlankNode):
-            # the label breaks ties between a labelled and an inline node
-            return (2, self.content_key(o), self.labels.get(o, ""))
+            # the output label breaks ties between a labelled and an inline
+            # node, the input label between two inline nodes
+            return (2, self.content_key(o), self.labels.get(o, ""), o.label)
         return term_sort_key(o)
 
     def _predicate_objects(self, s: Term) -> list[str]:

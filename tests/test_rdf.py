@@ -312,6 +312,56 @@ def test_parse_empty_bnode_and_bnode_subject():
     assert all(isinstance(s, BlankNode) for s in subjects)
 
 
+@pytest.mark.parametrize("source, pairs", [
+    ("[ ex:p ex:o ] .", {(EX.p, EX.o)}),
+    ("[ ex:p ex:o ; ex:q ex:r ; ] .", {(EX.p, EX.o), (EX.q, EX.r)}),
+    ("[ ex:p ex:o ] ex:q ex:r .", {(EX.p, EX.o), (EX.q, EX.r)}),
+])
+def test_parse_blank_node_property_list_as_a_statement(source, pairs):
+    # triples ::= blankNodePropertyList predicateObjectList?
+    g = parse_turtle(EX_PREFIX + source)
+    assert {(t.predicate, t.object) for t in g} == pairs
+    assert len({t.subject for t in g}) == 1
+
+
+def test_parse_nested_blank_node_property_list_as_a_statement():
+    g = parse_turtle(EX_PREFIX + "[ ex:p [ ex:q ex:r ] ] .\n[ ex:s ex:t ] .")
+    assert len(g) == 3
+    (outer,) = g.match(None, EX.p)
+    assert g.match(outer.object, EX.q, EX.r)
+    assert serialize_turtle(parse_turtle(serialize_turtle(g))) == serialize_turtle(g)
+
+
+@pytest.mark.parametrize("source, message", [
+    ("[] .", "line 2, col 4: expected predicate, found dot"),
+    ("[ ex:p ex:o ]", "expected predicate, found eof"),
+    ("[ ex:p ex:o ] ; .", "expected predicate, found semi"),
+    ("[ ex:p ex:o ] ex:q .", "expected object, found dot"),
+])
+def test_parse_blank_node_statement_errors(source, message):
+    with pytest.raises(TurtleSyntaxError, match=message):
+        parse_turtle(EX_PREFIX + source)
+
+
+def test_parse_prefix_rebinding_gives_distinct_iris():
+    g = parse_turtle("@prefix ex: <http://a.test/> .\nex:x ex:p 1 .\n"
+                     "@prefix ex: <http://b.test/> .\nex:x ex:p 2 .")
+    assert {t.subject for t in g} == {Iri("http://a.test/x"), Iri("http://b.test/x")}
+    assert {t.predicate for t in g} == {Iri("http://a.test/p"), Iri("http://b.test/p")}
+
+
+def test_parse_equal_iris_are_one_object():
+    g = parse_turtle("@prefix ex: <http://a.test/> .\n"
+                     "ex:x ex:p <http://a.test/x> .\n<http://a.test/x> ex:p ex:x .")
+    terms = [term for t in g for term in (t.subject, t.predicate, t.object)]
+    assert {t.subject for t in g} == {Iri("http://a.test/x")}
+    assert len({id(term) for term in terms}) == 2  # one x and one p
+    (typed,) = parse_turtle("<http://a.test/s> a <http://a.test/C> ; "
+                            "<http://www.w3.org/1999/02/22-rdf-syntax-ns#type> "
+                            "<http://a.test/D> .").match(None, None, Iri("http://a.test/D"))
+    assert typed.predicate is RDF.type
+
+
 def test_parse_labelled_bnodes_share_identity():
     g = parse_turtle("""
         @prefix ex: <http://example.org/okb#> .
@@ -345,6 +395,7 @@ def test_parse_comments_and_trailing_semicolon():
              .
     """)
     assert len(g) == 1
+    assert len(parse_turtle("<http://s.test/s> <http://p.test/p> 1 . # no newline")) == 1
 
 
 EX_PREFIX = "@prefix ex: <http://example.org/okb#> .\n"
@@ -443,6 +494,55 @@ def test_parse_error_reports_position():
     assert "foo" in str(err.value)
 
 
+# a bad token of each lexer error class, standing where an object belongs
+_BAD_TOKENS = {
+    "bad_name": ("foo .", "unexpected token 'foo'"),
+    "at_base": ("@base <http://b.test/> .", "@base is not supported"),
+    "unterminated_iri": ("<http://o.test/o", "unterminated IRI"),
+    "bad_iri": ("<http://o.test/ o> .", "illegal character in IRI"),
+    "collection": ("(1) .", "collections '( )' are not supported"),
+    "bad_at": ("@ .", "expected directive or language tag after '@'"),
+    "bad_blank": ("_: .", "blank node label expected after '_:'"),
+    "bad_caret": ("^x .", "expected '^^'"),
+    "bad_string": ('"open .', "unterminated string"),
+    "bad_char": ("%x .", "unexpected character '%'"),
+}
+_STATEMENT_HEAD = "<http://s.test/s> <http://p.test/p>"  # 35 characters
+
+
+@pytest.mark.parametrize("layout, line, column", [
+    ("   ", 1, 39),
+    ("\t", 1, 37),
+    (" # comment\n", 2, 1),
+    (" # comment\n\t  ", 2, 4),
+])
+@pytest.mark.parametrize("kind", sorted(_BAD_TOKENS))
+def test_lexer_error_position_after_layout(kind, layout, line, column):
+    bad, message = _BAD_TOKENS[kind]
+    with pytest.raises(TurtleSyntaxError) as err:
+        parse_turtle(_STATEMENT_HEAD + layout + bad)
+    assert message in str(err.value)
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+def test_every_lexer_error_class_has_a_position_test():
+    from govshapes.rdf import _ERRORS
+    assert set(_BAD_TOKENS) == set(_ERRORS)
+
+
+@pytest.mark.parametrize("source, message, line, column", [
+    # the end of text stands after the comment that ends it
+    (_STATEMENT_HEAD + " <http://o.test/o> # no newline", "expected dot, found eof", 1, 67),
+    (_STATEMENT_HEAD + " # c\n\t; .", "expected object, found semi", 2, 2),
+    (_STATEMENT_HEAD + "\n  # c1\n# c2\n   .", "expected object, found dot", 4, 4),
+])
+def test_parser_error_position_after_layout(source, message, line, column):
+    with pytest.raises(TurtleSyntaxError) as err:
+        parse_turtle(source)
+    assert message in str(err.value)
+    assert (err.value.line, err.value.column) == (line, column)
+
+
 _TURTLE_PIECES = st.sampled_from(
     list(' \n.;,[]()<>"\\@^_:#+-eE07a²') + [
         '"""', "\\u00e9", "ex:", "@prefix ex: <http://example.org/okb#> .",
@@ -477,6 +577,8 @@ def test_parse_short_string_rejects_raw_newline():
 def test_parse_empty_document():
     assert len(parse_turtle("")) == 0
     assert len(parse_turtle("  # only a comment\n")) == 0
+    for source in ("# no newline", "#", "  \t# c\n# d", "\n\n"):
+        assert len(parse_turtle(source)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -632,6 +734,52 @@ def test_serialize_orders_labelled_and_inline_bnodes_by_label():
                      "ex:A ex:A [ ex:A ex:A ], [ ex:A ex:A ], [ ex:A ex:A ], _:c0 .\n\n"
                      "ex:B ex:B _:c0 .\n\n"
                      "_:c0 ex:A ex:A .\n"}
+
+
+# Serializes, in one interpreter, the document graph of every bundled
+# block, the report graph of every bundled case under Combined, every
+# statement order of two graphs whose blank nodes tie on their content
+# keys, and prints the texts.
+_HASH_SEED_SCRIPT = """
+import itertools, sys
+sys.path.insert(0, sys.argv[1])
+from govshapes import corpus, rdf, shacl
+registry = corpus.default_registry()
+texts = [rdf.serialize_turtle(registry.block(name).document_graph())
+         for name in corpus.BLOCK_NAMES]
+texts += [rdf.serialize_turtle(shacl.emit_report_graph(
+              registry.validate_profile(graph, "Combined").report))
+          for _, graph in corpus.full_corpus()]
+tie_graphs = (
+    ["ex:A ex:A [ ex:A ex:A ], [ ex:A ex:A ], [ ex:A ex:A ], _:x .",
+     "ex:B ex:B _:x .", "_:x ex:A ex:A ."],
+    # labelled _:x and _:y, and the root and inline nodes naming them, tie
+    ["ex:s ex:r _:x, _:y .", "ex:t ex:r _:x, _:y .", "_:x ex:q ex:o . _:y ex:q ex:o .",
+     "_:m ex:p _:x . _:n ex:p _:y .", "ex:u ex:v [ ex:p _:x ], [ ex:p _:y ] ."],
+)
+for statements in tie_graphs:
+    texts += [rdf.serialize_turtle(rdf.parse_turtle(
+                  "@prefix ex: <http://example.org/> .\\n" + "\\n".join(order)))
+              for order in itertools.permutations(statements)]
+print(len(texts))
+print("\\n~~~\\n".join(texts))
+"""
+
+
+def test_serialization_does_not_depend_on_the_hash_seed():
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import govshapes
+    src = str(Path(govshapes.__file__).resolve().parents[1])
+    outputs = set()
+    for seed in range(4):
+        env = {"PYTHONHASHSEED": str(seed), "PATH": ""}
+        outputs.add(subprocess.run([sys.executable, "-c", _HASH_SEED_SCRIPT, src], env=env,
+                                   capture_output=True, text=True, check=True).stdout)
+    (output,) = outputs
+    assert output.startswith("140\n")  # 7 blocks, 7 cases, 6 + 120 orders
 
 
 def test_serialize_renders_iris_per_graph_prefixes():

@@ -103,6 +103,13 @@ def test_parse_string_never_stands_for_punctuation(group, fragment):
         q("SELECT $this WHERE { " + group + "}")
 
 
+def test_parse_same_name_twice_resolves_alike():
+    query = q("SELECT $this WHERE { $this ex:p ?x . ?x ex:p <http://example.org/okb#p> }")
+    first, second = query.clauses
+    assert first.predicate == second.predicate == second.object == EX.p
+    assert first.predicate is second.predicate is second.object
+
+
 def test_parse_iriref_and_var_positions():
     query = q("SELECT $this ?p WHERE { $this ?p <http://o.test/v> }")
     (pattern,) = [c for c in query.clauses if isinstance(c, TriplePattern)]
@@ -145,6 +152,8 @@ def test_unsupported_keyword_case_insensitive():
     ("SELECT WHERE { $this ex:p ?x }", "at least one variable"),
     ("SELECT $this WHERE { $this ex:p ?x } extra", "trailing content"),
     ("SELECT $this WHERE { $this ex:p ?x", "unterminated group"),
+    ("SELECT $this WHERE { $this ex:p ?x # no newline", "unterminated group"),
+    ("  # only a comment", "expected SELECT, found ''"),
     ("SELECT $this WHERE { BIND(1 ?x) }", "expected AS"),
     ("SELECT $this WHERE { $this unknown:p ?x }", "undefined prefix"),
     ("SELECT $this WHERE { FILTER(1 < 2 < 3) }", "expected"),
@@ -165,6 +174,25 @@ def test_unsupported_keyword_case_insensitive():
 def test_syntax_errors(text, fragment):
     with pytest.raises(SparqlSyntaxError, match=fragment):
         q(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    # 17 characters of layout and 32 of query come before the '%'
+    ("  \t# leading\n    SELECT $this WHERE { $this ex:p % }",
+     "unexpected character '%' at offset 49"),
+    ("  \t# leading\n    SELECT $this WHERE { $this un:p ?x }",
+     "undefined prefix 'un:' at offset 44"),
+    ("SELECT $this WHERE { $this ex:p ?x }  # c\n  %", "unexpected character '%' at offset 44"),
+])
+def test_syntax_error_offset_after_layout(text, message):
+    with pytest.raises(SparqlSyntaxError) as err:
+        q(text)
+    assert str(err.value) == message
+
+
+def test_query_ending_in_a_comment_without_newline():
+    assert q("SELECT $this WHERE { $this ex:p ?x } # done").clauses == q(
+        "SELECT $this WHERE { $this ex:p ?x }").clauses
 
 
 def test_deep_nesting_is_a_syntax_error():

@@ -12,7 +12,10 @@ record files ``perfbench/generate.py`` writes for seed 1) ``N`` times
 each, runs every input through each side (one fresh interpreter per
 side, the two at once), and prints how many inputs gave the same outcome
 on both sides, then each class of differing outcomes with its count and
-one example input.
+one example input. The parent side runs with ``PYTHONHASHSEED=0`` and the
+change side with ``PYTHONHASHSEED=1``, so an outcome that depends on set
+or dictionary order shows up as a difference, and the same seeds
+reproduce it.
 
 An outcome is either a value or an exception. A Turtle input's value is
 a digest of its triples, prefixes and canonical serialization and of
@@ -185,8 +188,9 @@ def work(mutations: int, seed: int, outcomes_path: str) -> None:
 # Comparison of the two sides
 # ---------------------------------------------------------------------------
 
-def _start_side(src: Path, mutations: int, seed: int, outcomes_path: Path):
-    env = dict(os.environ, PYTHONPATH=str(src))
+def _start_side(src: Path, hash_seed: int, mutations: int, seed: int,
+                outcomes_path: Path):
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=str(hash_seed))
     return subprocess.Popen([sys.executable, __file__, "--worker", str(mutations),
                              str(seed), str(outcomes_path)], env=env)
 
@@ -243,8 +247,9 @@ def main() -> None:
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
         paths = Path(tmp) / "parent.json", Path(tmp) / "change.json"
-        processes = [_start_side(src.resolve(), args.mutations, args.seed, path)
-                     for src, path in zip((args.parent_src, args.change_src), paths)]
+        processes = [_start_side(src.resolve(), hash_seed, args.mutations, args.seed, path)
+                     for hash_seed, src, path in zip((0, 1), (args.parent_src, args.change_src),
+                                                     paths)]
         parent, change = [_outcomes(p, path) for p, path in zip(processes, paths)]
     compare(iter_inputs(args.mutations, args.seed), parent, change)
 
