@@ -729,6 +729,13 @@ class _Serializer:
     reaches the output: subjects, predicates and objects are sorted where
     they are rendered, and every sort key is total, a blank node's input
     label breaking the last ties.
+
+    A blank node named by two triples, or from which a cycle is reachable,
+    is labelled ``_:cN``, numbered by content key and then input label;
+    any other blank node is written inline where it is named. Subject
+    blocks come in three runs: IRI subjects by IRI; then blank nodes that
+    nothing names, headed ``[]``, by content key and then input label;
+    then labelled nodes by label text, so ``_:c10`` precedes ``_:c2``.
     """
 
     def __init__(self, graph: Graph):
@@ -756,14 +763,10 @@ class _Serializer:
         if b in stack:
             return "~cycle~"
         stack += (b,)
-        parts = [p.value + "=" + self._object_key(o, stack)
+        parts = [p.value + "=" + (self.content_key(o, stack) if isinstance(o, BlankNode)
+                                  else repr(term_sort_key(o)))
                  for p, objs in self.by_subject.get(b, _EMPTY).items() for o in objs]
         return "(" + ";".join(sorted(parts)) + ")"
-
-    def _object_key(self, o: Term, stack: tuple) -> str:
-        if isinstance(o, BlankNode):
-            return self.content_key(o, stack)
-        return repr(term_sort_key(o))
 
     def _is_cyclic(self, b: BlankNode, stack: tuple = ()) -> bool:
         if b in stack:
@@ -779,47 +782,21 @@ class _Serializer:
             (b for b in self.refs.keys() | self.by_subject.keys()
              if isinstance(b, BlankNode)
              and (self.refs.get(b, 0) >= 2 or self._is_cyclic(b))),
-            key=self._bnode_sort_key)
+            key=lambda b: (self.content_key(b), b.label))
         self.labels = {b: f"c{i}" for i, b in enumerate(labelled)}
-
-        iri_subjects = sorted((s for s in self.by_subject if isinstance(s, Iri)),
-                              key=term_sort_key)
-        root_bnodes = sorted(
-            (s for s in self.by_subject
-             if isinstance(s, BlankNode) and s not in self.refs
-             and s not in self.labels),
-            key=self._bnode_sort_key)
-        labelled_subjects = sorted((b for b in self.labels if b in self.by_subject),
-                                   key=lambda b: self.labels[b])
-
-        blocks = []
-        for s in iri_subjects:
-            blocks.append(self._subject_block(self._render_iri(s), s))
-        for s in root_bnodes:
-            blocks.append(self._subject_block("[]", s))
-        for s in labelled_subjects:
-            blocks.append(self._subject_block("_:" + self.labels[s], s))
-
-        header = []
-        for label, ns in sorted(self.graph.prefixes.items()):
-            if label in self.used_prefixes:
-                header.append(f"@prefix {label}: <{ns}> .")
-        out = ""
-        if header:
-            out += "\n".join(header) + "\n"
-        if blocks:
-            if header:
-                out += "\n"
-            out += "\n\n".join(blocks) + "\n"
-        return out
-
-    def _grouped(self, s: Term) -> list[tuple[Iri, list[Term]]]:
-        by_pred = self.by_subject.get(s, _EMPTY)
-        return [(p, sorted(by_pred[p], key=self._object_sort_key))
-                for p in sorted(by_pred, key=_predicate_sort_key)]
-
-    def _bnode_sort_key(self, b: BlankNode) -> tuple:
-        return self.content_key(b), b.label
+        # (place, head, subject) for each subject written as a block
+        blocks = sorted(
+            ((0, s.value), self._render_iri(s), s) if isinstance(s, Iri)
+            else ((2, self.labels[s]), "_:" + self.labels[s], s) if s in self.labels
+            else ((1, self.content_key(s), s.label), "[]", s)
+            for s in self.by_subject if s in self.labels or s not in self.refs)
+        body = [f"{head} " + " ;\n    ".join(self._predicate_objects(s)) + " ."
+                for _, head, s in blocks]
+        header = "\n".join(f"@prefix {label}: <{ns}> ."
+                           for label, ns in sorted(self.graph.prefixes.items())
+                           if label in self.used_prefixes)
+        text = "\n\n".join(filter(None, [header, *body]))
+        return text + "\n" if text else ""
 
     def _object_sort_key(self, o: Term) -> tuple:
         if isinstance(o, BlankNode):
@@ -830,12 +807,11 @@ class _Serializer:
 
     def _predicate_objects(self, s: Term) -> list[str]:
         """``p o1, o2`` for each predicate of ``s``, in canonical order."""
+        by_pred = self.by_subject.get(s, _EMPTY)
         return [("a" if p == RDF.type else self._render_iri(p)) + " "
-                + ", ".join(self._render_object(o) for o in objs)
-                for p, objs in self._grouped(s)]
-
-    def _subject_block(self, head: str, s: Term) -> str:
-        return f"{head} " + " ;\n    ".join(self._predicate_objects(s)) + " ."
+                + ", ".join(self._render_object(o)
+                            for o in sorted(by_pred[p], key=self._object_sort_key))
+                for p in sorted(by_pred, key=_predicate_sort_key)]
 
     def _render_object(self, o: Term) -> str:
         if isinstance(o, Iri):
@@ -844,10 +820,7 @@ class _Serializer:
             return self._render_literal(o)
         if o in self.labels:
             return "_:" + self.labels[o]
-        return self._render_inline_bnode(o)
-
-    def _render_inline_bnode(self, b: BlankNode) -> str:
-        parts = self._predicate_objects(b)
+        parts = self._predicate_objects(o)
         return "[ " + " ; ".join(parts) + " ]" if parts else "[]"
 
     def _render_iri(self, iri: Iri) -> str:
@@ -877,8 +850,7 @@ class _Serializer:
             body = s.replace("\\", "\\\\").replace('"', '\\"')
             return f'"""{body}"""'
         body = (s.replace("\\", "\\\\").replace('"', '\\"')
-                 .replace("\n", "\\n").replace("\t", "\\t")
-                 .replace("\r", "\\u000D"))
+                 .replace("\t", "\\t").replace("\r", "\\u000D"))
         return f'"{body}"'
 
 

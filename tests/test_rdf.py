@@ -736,6 +736,41 @@ def test_serialize_orders_labelled_and_inline_bnodes_by_label():
                      "_:c0 ex:A ex:A .\n"}
 
 
+def test_serialize_block_order():
+    # IRI subjects first; then root nodes by content key and input label;
+    # then labelled nodes by label text, so _:c10 precedes _:c2
+    shared = [BlankNode(f"n{i:02d}") for i in range(12)]
+    u, v, w = BlankNode("u"), BlankNode("v"), BlankNode("w")
+    triples = [Triple(s, EX.r, b) for s in (EX.t, EX.s) for b in shared]
+    triples += [Triple(b, EX.q, EX.o) for b in shared]
+    # two root nodes tie on content key: their input labels order them
+    triples += [Triple(BlankNode("rb"), EX.p, shared[7]),
+                Triple(BlankNode("ra"), EX.p, shared[3])]
+    # u is referenced by nothing but reaches the cycle v -> w -> v
+    triples += [Triple(u, EX.p, v), Triple(v, EX.p, w), Triple(w, EX.p, v)]
+    objects = ", ".join(f"_:c{i}" for i in (10, 11, 12, 13, 14, 3, 4, 5, 6, 7, 8, 9))
+    shared_blocks = "".join(f"_:c{i} ex:q ex:o .\n\n" for i in (10, 11, 12, 13, 14))
+    shared_blocks += "_:c2 ex:p _:c1 .\n\n"
+    shared_blocks += "\n".join(f"_:c{i} ex:q ex:o .\n" for i in range(3, 10))
+    assert serialize_turtle(Graph(triples, prefixes={"ex": EX.base})) == (
+        "@prefix ex: <http://example.org/okb#> .\n\n"
+        f"ex:s ex:r {objects} .\n\n"
+        f"ex:t ex:r {objects} .\n\n"
+        "[] ex:p _:c6 .\n\n"
+        "[] ex:p _:c10 .\n\n"
+        "_:c0 ex:p _:c1 .\n\n"
+        "_:c1 ex:p _:c2 .\n\n"
+        + shared_blocks)
+
+
+@pytest.mark.parametrize("prefixes", [{"n": "http://n.test/"}, None],
+                         ids=["unused", "none"])
+def test_serialize_without_header_starts_at_the_first_subject(prefixes):
+    g = Graph([Triple(EX.s, EX.p, EX.o)], prefixes=prefixes)
+    assert serialize_turtle(g) == ("<http://example.org/okb#s> <http://example.org/okb#p> "
+                                   "<http://example.org/okb#o> .\n")
+
+
 # Serializes, in one interpreter, the document graph of every bundled
 # block, the report graph of every bundled case under Combined, every
 # statement order of two graphs whose blank nodes tie on their content

@@ -1,11 +1,14 @@
 """Checks on the package's source text."""
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).parents[1] / "src" / "govshapes").glob("*.py"))
+ROOT = Path(__file__).parents[1]
+SOURCES = sorted((ROOT / "src" / "govshapes").glob("*.py"))
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -32,3 +35,55 @@ def test_unused_imports_are_found():
                          ids=lambda p: p.name)
 def test_module_reads_every_name_it_imports(path):
     assert unused_imports(ast.parse(path.read_text("utf-8"))) == []
+
+
+def used_names(tree: ast.AST) -> Counter:
+    """How often ``tree`` reads or imports each name, names each attribute,
+    or holds each word in a string other than a docstring."""
+    docstrings = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
+    used: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            used[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            used[node.name.rpartition(".")[2]] += 1
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docstrings):
+            used.update(re.findall(r"\w+", node.value))
+    return used
+
+
+def dead_functions(modules: list[ast.Module], others: list[ast.Module]) -> list[str]:
+    """The functions and methods, dunders aside, defined in ``modules``
+    whose names appear in ``modules`` and ``others`` only inside their own
+    definitions."""
+    used = sum((used_names(tree) for tree in modules + others), Counter())
+    return [node.name for tree in modules for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))
+            and used[node.name] == used_names(node)[node.name]]
+
+
+def test_dead_functions_are_found():
+    module = ast.parse(
+        "class C:\n"
+        "    def __eq__(self, other): return True\n"
+        "    def caller(self): return self.called()\n"
+        "    def called(self): return 1\n"
+        "    def recursive(self): return self.recursive()\n"
+        "def by_string(): pass\n"
+        "def by_test(): pass\n"
+        "def by_docstring():\n"
+        "    'by_docstring is no use of it'\n"
+        "getattr(C, 'm.by_string')\n")
+    test = ast.parse("from m import by_test\n")
+    assert dead_functions([module], [test]) == ["by_docstring", "caller", "recursive"]
+
+
+def test_every_function_is_used():
+    # SOURCES is every module under src/, so the tests are the only others
+    def trees(paths):
+        return [ast.parse(path.read_text("utf-8")) for path in paths]
+    assert dead_functions(trees(SOURCES), trees(sorted((ROOT / "tests").glob("*.py")))) == []

@@ -5,7 +5,9 @@ Usage::
     python3 tools/differential.py PARENT_SRC CHANGE_SRC [--mutations N] [--seed S]
 
 ``PARENT_SRC`` and ``CHANGE_SRC`` are the ``src`` directories of two
-checkouts. The script mutates the bundled evidence cases, the constraint
+checkouts. The script mutates the bundled evidence cases and a few
+documents with blank nodes (shared, cyclic, nested and tied ones, so
+that labelling and block order are exercised), the constraint
 queries (the bundled ones, and those ``perfbench/generate.py`` writes for
 seeds 1-10) and the block sources (the bundled ``.ir.yaml`` files, and the
 record files ``perfbench/generate.py`` writes for seed 1) ``N`` times
@@ -79,6 +81,22 @@ BLOCK_PIECES = (
     "[" * 600, "{a: " * 600, "- " * 300,
 )
 
+# Turtle documents whose blank nodes take each path of the serializer: a
+# shared node, a two-node cycle, [ ] nested three deep, root nodes tied on
+# content, and two graphs whose labelled and inline nodes tie.
+BNODE_DOCUMENTS = tuple("@prefix ex: <http://example.org/okb#> .\n" + text for text in (
+    "ex:d1 a ex:Decision ; ex:hasExplanation _:e .\n"
+    "ex:d2 a ex:Decision ; ex:hasExplanation _:e .\n_:e ex:text \"why\" .\n",
+    "_:a ex:next _:b ; ex:tag \"one\" .\n_:b ex:next _:a .\n",
+    "ex:s ex:p [ ex:p [ ex:p [ ex:q 1 ] ] ] .\n",
+    "_:r2 ex:p _:x .\n_:r1 ex:p _:y .\n_:x ex:q ex:o .\n_:y ex:q ex:o .\n"
+    "ex:s ex:r _:x, _:y .\n",
+    "ex:A ex:A [ ex:A ex:A ], [ ex:A ex:A ], [ ex:A ex:A ], _:x .\n"
+    "ex:B ex:B _:x .\n_:x ex:A ex:A .\n",
+    "ex:s ex:r _:x, _:y .\nex:t ex:r _:x, _:y .\n_:x ex:q ex:o . _:y ex:q ex:o .\n"
+    "_:m ex:p _:x . _:n ex:p _:y .\nex:u ex:v [ ex:p _:x ], [ ex:p _:y ] .\n",
+))
+
 
 def _base_inputs() -> dict[str, list[str]]:
     import yaml
@@ -87,6 +105,7 @@ def _base_inputs() -> dict[str, list[str]]:
     import generate
 
     cases = [p.read_text("utf-8") for p in sorted((DATA / "cases").glob("*.ttl"))]
+    cases += BNODE_DOCUMENTS
     blocks = [p.read_text("utf-8") for p in sorted((DATA / "blocks").glob("*.ir.yaml"))]
     sources = blocks + [text for seed in QUERY_SEEDS
                         for s in generate.obligation_sets(seed) for text in s.texts[:1]]
