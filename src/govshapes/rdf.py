@@ -14,7 +14,15 @@ documents need:
   - predicate lists ``;`` and object lists ``,``
 
 Collections ``( )``, base IRIs, and relative IRIs are rejected. The
-SPARQL subset in ``sparql`` tokenizes its terms with the same lexer.
+SPARQL subset in ``sparql`` lexes its terms with the same fragments.
+
+Reading a text takes one ``findall`` over the scan form of the
+language's token grammar, which cuts it into token texts, and one cursor
+over those texts, for Turtle and the SPARQL subset alike. A parse that
+goes well computes no position. When it fails, the text is tokenized
+once more under the named grammar: that raises the first lexer error in
+the text, if there is one, and otherwise gives the kind and the line
+and column of the token where the parse stopped.
 
 Serialization is canonical: prefixes sorted by label, subjects sorted
 by IRI with blank-node subjects last, predicates and objects sorted
@@ -35,13 +43,11 @@ from .errors import TurtleSyntaxError
 # Terms
 # ---------------------------------------------------------------------------
 
-_set = object.__setattr__
-
-
 class _Value(Frozen):
     """A frozen value whose fields are its ``__slots__``, in ``__init__``
-    order. The subclass's ``__init__`` stores the fields and the hash of
-    their tuple, so hashing costs one attribute read; ``==`` holds between
+    order. The subclass's ``__init__`` stores the fields through each slot
+    descriptor's ``__set__`` (``Frozen`` refuses ``setattr``) and caches
+    their hash, so hashing costs one attribute read; ``==`` holds between
     instances of one class with equal fields."""
 
     __slots__ = ("_hash",)
@@ -57,12 +63,19 @@ class _Value(Frozen):
         return self.__class__, tuple(getattr(self, n) for n in self.__slots__)
 
 
-class Iri(_Value):
+class _Term(_Value):
+    """A term, which keeps its ``term_sort_key`` from when it was built."""
+
+    __slots__ = ("_key",)
+
+
+class Iri(_Term):
     __slots__ = ("value",)
 
     def __init__(self, value: str):
-        _set(self, "value", value)
-        _set(self, "_hash", hash((value,)))
+        _set_iri(self, value)
+        _set_key(self, (0, value))
+        _set_hash(self, hash((value,)))
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not Iri:
@@ -72,12 +85,13 @@ class Iri(_Value):
     __hash__ = _Value.__hash__  # defining __eq__ would clear it
 
 
-class BlankNode(_Value):
+class BlankNode(_Term):
     __slots__ = ("label",)
 
     def __init__(self, label: str):
-        _set(self, "label", label)
-        _set(self, "_hash", hash((label,)))
+        _set_label(self, label)
+        _set_key(self, (2, label))
+        _set_hash(self, hash((label,)))
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not BlankNode:
@@ -87,17 +101,18 @@ class BlankNode(_Value):
     __hash__ = _Value.__hash__  # defining __eq__ would clear it
 
 
-class Literal(_Value):
+class Literal(_Term):
     __slots__ = ("lexical", "datatype", "language")
 
     def __init__(self, lexical: str, datatype: Iri | None = None,
                  language: str | None = None):
         if datatype is None:
             datatype = RDF.langString if language is not None else XSD.string
-        _set(self, "lexical", lexical)
-        _set(self, "datatype", datatype)
-        _set(self, "language", language)
-        _set(self, "_hash", hash((lexical, datatype, language)))
+        _set_lexical(self, lexical)
+        _set_datatype(self, datatype)
+        _set_language(self, language)
+        _set_key(self, (1, lexical, datatype.value, language or ""))
+        _set_hash(self, hash((lexical, datatype, language)))
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not Literal:
@@ -119,10 +134,10 @@ class Triple(_Value):
             raise ValueError(f"triple predicate must be an IRI, got {predicate!r}")
         if isinstance(subject, Literal):
             raise ValueError("triple subject must not be a literal")
-        _set(self, "subject", subject)
-        _set(self, "predicate", predicate)
-        _set(self, "object", object)
-        _set(self, "_hash", hash((subject, predicate, object)))
+        _set_subject(self, subject)
+        _set_predicate(self, predicate)
+        _set_object(self, object)
+        _set_hash(self, hash((subject, predicate, object)))
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not Triple:
@@ -133,17 +148,27 @@ class Triple(_Value):
     __hash__ = _Value.__hash__  # defining __eq__ would clear it
 
 
+# each slot's setter, which the __init__ methods above call: Frozen
+# refuses setattr
+_set_hash = _Value._hash.__set__
+_set_key = _Term._key.__set__
+_set_iri = Iri.value.__set__
+_set_label = BlankNode.label.__set__
+_set_lexical = Literal.lexical.__set__
+_set_datatype = Literal.datatype.__set__
+_set_language = Literal.language.__set__
+_set_subject = Triple.subject.__set__
+_set_predicate = Triple.predicate.__set__
+_set_object = Triple.object.__set__
+
+
 def term_sort_key(t: Term) -> tuple:
     """Total order over terms: IRIs, then literals, then blank nodes."""
-    if isinstance(t, Iri):
-        return (0, t.value)
-    if isinstance(t, Literal):
-        return (1, t.lexical, t.datatype.value, t.language or "")
-    return (2, t.label)
+    return t._key
 
 
 def triple_sort_key(t: Triple) -> tuple:
-    return (term_sort_key(t.subject), term_sort_key(t.predicate), term_sort_key(t.object))
+    return (t.subject._key, t.predicate._key, t.object._key)
 
 
 class Namespace:
@@ -377,37 +402,55 @@ def _iri_text(value: str, namespaces) -> tuple[str, str | None]:
 # when more name characters follow, so a trailing dot ends the statement.
 _LOCAL = r"[\w-]*(?:\.+[\w-]+)*"
 _NAME = r"[^\W\d_]" + _LOCAL
+_PNAME_RE = re.compile(_NAME + ":")  # .match: the text of a prefixed name token
 
-# A language's token pattern is _TERMS, then its own alternatives, then
-# _CATCH_ALL. Each match is one token: the layout before it (group 1: any
-# run of spaces, tabs, line ends and comments, written as a run of blanks
-# followed by comments each trailed by blanks, which the engine matches
-# faster), then one alternative. _TERMS opens the group of alternatives
-# with the end of text and the term fragments both languages share;
-# _CATCH_ALL closes it. Every alternative but the end of text consumes a
-# character and the last takes any character, so finditer covers the text
-# without gaps and ends at an ``eof`` token, and the engine never
-# backtracks into the layout (which is why it need not be possessive, a
-# form Python 3.10 lacks). A group named in _ERRORS marks input that
-# cannot start a token.
+# A language's token grammar is the alternatives of _TERMS, then its own,
+# then those of _CATCH_ALL (see _token_grammar). _TERMS opens with the end
+# of text and the term fragments both languages share. Every alternative
+# but the end of text consumes a character and the last takes any
+# character, so a scan covers the text without gaps and ends at the end
+# of text, and the engine never backtracks into the layout before a token
+# (which is why that need not be possessive, a form Python 3.10 lacks). A
+# numeral takes one word character that runs on from it (12abc, 1e, 70²),
+# which makes the token malformed. A group named in _ERRORS marks input
+# that cannot start a token.
 _TERMS = rf'''
-    ([ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*)
-  (?:
     (?P<eof>\Z)
   | (?P<pname>{_NAME}:{_LOCAL})
   | (?P<string>"""(?:[^"\\]|\\[\s\S]|"(?!""))*"""|"(?!"")(?:[^"\\\n]|\\.)*")
   | <(?P<iriref>{_IRIREF})>
-  | (?P<number>{_NUMERAL})
+  | (?P<number>(?:{_NUMERAL})\w?)
 '''
 _CATCH_ALL = r'''
   | (?P<bad_string>")
   | (?P<bad_char>[\s\S])
-  )
 '''
+# any run of spaces, tabs, line ends and comments, written as a run of
+# blanks followed by comments each trailed by blanks, which the engine
+# matches faster
+_LAYOUT = r"[ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*"
+
+
+def _token_grammar(alternatives: str) -> tuple[str, re.Pattern]:
+    """A language's token grammar, from its own ``alternatives``, and the
+    scan form derived from it.
+
+    The grammar is a verbose pattern with one named group per token kind:
+    each match is the layout before a token, as group 1, then the token.
+    ``_tokenize`` reads it, and it is compiled only when a parse fails.
+    The scan form is the same pattern with the group names stripped and
+    the token, not the layout, as its only group, so its ``findall`` cuts
+    a text into the same token texts, ending at an empty one (or two, when
+    the text ends in layout).
+    """
+    tokens = _TERMS + alternatives + _CATCH_ALL
+    scan = f"(?:{_LAYOUT})({re.sub(r'[(][?]P<[a-z_]+>', '(?:', tokens)})"
+    return f"({_LAYOUT})(?:{tokens})", re.compile(scan, re.VERBOSE)
+
 
 # Turtle's only bare words are the keywords, each a whole name: no name
 # character may follow, past any dots.
-_TOKEN_RE = re.compile(_TERMS + rf'''
+_TOKEN_RE, _SCAN_RE = _token_grammar(rf'''
   | (?P<dot>\.) | (?P<semi>;) | (?P<comma>,) | (?P<lbracket>\[) | (?P<rbracket>\])
   | (?P<name>(?:a|true|false)(?!\.*[\w-]))
   | (?P<bad_name>{_NAME})
@@ -422,7 +465,7 @@ _TOKEN_RE = re.compile(_TERMS + rf'''
   | (?P<bad_at>@)
   | (?P<bad_blank>_:)
   | (?P<bad_caret>\^)
-''' + _CATCH_ALL, re.VERBOSE)
+''')
 
 _ERRORS = {
     "bad_name": "unexpected token {!r}",
@@ -441,10 +484,12 @@ _KEYWORDS = {"a": "a", "true": "boolean", "false": "boolean"}
 _LITERAL_DATATYPES = {"string": XSD.string, "integer": XSD.integer,
                       "decimal": XSD.decimal, "double": XSD.double,
                       "boolean": XSD.boolean}
-_WORD_RE = re.compile(r"\w")
 _ESCAPE_RE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|([\s\S]))")
 _ESCAPES = {"t": "\t", "n": "\n", "r": "\r", "b": "\b", "f": "\f",
             '"': '"', "'": "'", "\\": "\\"}
+# the Turtle tokens that begin with '@' but are no language tag
+_AT_WORDS = ("@", "@prefix", "@base")
+_UNSEEN = object()  # a memo's default: the text was never resolved
 
 
 class _Token:
@@ -454,6 +499,11 @@ class _Token:
         self.kind = kind
         self.value = value
         self.pos = pos
+
+
+class _Stop(Exception):
+    """Where a parse stopped. ``args[0](token)`` builds the error once
+    ``_Parser.run`` has unwound the stack and named the cursor's token."""
 
 
 def _syntax_error(text: str, pos: int, message: str) -> TurtleSyntaxError:
@@ -474,10 +524,19 @@ def _unescape(m: re.Match) -> str:
                      else f"unsupported escape '\\{char}'")
 
 
-def _tokenize(text: str, token_re: re.Pattern, error) -> list[_Token]:
-    """The tokens of ``text`` under a language's ``token_re``.
+def _unquote(text: str) -> str:
+    """The value of a string token: ``text`` without its quotes, its
+    escapes decoded. ValueError names a bad escape."""
+    value = text[3:-3] if text.startswith('"""') else text[1:-1]
+    return _ESCAPE_RE.sub(_unescape, value) if "\\" in value else value
 
-    ``error(text, pos, message)`` builds the language's syntax error.
+
+def _tokenize(text: str, token_re: re.Pattern, error) -> list[_Token]:
+    """The tokens of ``text`` under a language's compiled grammar, up to
+    the first ``eof``, each named and placed.
+
+    ``error(text, pos, message)`` builds the language's syntax error; the
+    first lexer error in the text is raised.
     """
     tokens = []
     for m in token_re.finditer(text):
@@ -486,20 +545,16 @@ def _tokenize(text: str, token_re: re.Pattern, error) -> list[_Token]:
         if kind in _ERRORS:
             raise error(text, pos, _ERRORS[kind].format(value))
         if kind == "string":
-            value = value[3:-3] if value.startswith('"""') else value[1:-1]
-            if "\\" in value:
-                try:
-                    value = _ESCAPE_RE.sub(_unescape, value)
-                except ValueError as exc:
-                    raise error(text, pos, str(exc)) from None
+            try:
+                value = _unquote(value)
+            except ValueError as exc:
+                raise error(text, pos, str(exc)) from None
         elif kind == "iriref":
             if not _SCHEME_RE.match(value):
                 raise error(text, pos, f"relative IRI <{value}> not allowed")
         elif kind == "number":
-            # a numeral running on into a word (12abc, 1e, 70²) is malformed
-            if _WORD_RE.match(text, m.end()):
-                raise error(text, pos, "malformed numeric literal "
-                            f"{text[pos:m.end() + 1]!r}")
+            if not _NUMERAL_RE.fullmatch(value):
+                raise error(text, pos, f"malformed numeric literal {value!r}")
             kind = _numeral_kind(value)
         elif kind == "name":
             kind = _KEYWORDS.get(value, kind)
@@ -510,51 +565,83 @@ def _tokenize(text: str, token_re: re.Pattern, error) -> list[_Token]:
 
 
 class _Parser:
-    """A cursor over the tokens of one language (Turtle or the SPARQL subset).
+    """A cursor over the token texts of one language (Turtle or the SPARQL
+    subset).
 
-    ``token_re`` and ``error`` are the language's token pattern and error
-    builder, as ``_tokenize`` takes them; ``prefixes`` resolves prefixed
-    names. A subclass supplies ``parse``.
+    A subclass names its language by three class attributes, ``scan_re``
+    and ``token_re`` from ``_token_grammar`` and the syntax error builder
+    ``error(text, pos, message)``, and supplies ``parse``; ``prefixes``
+    resolves prefixed names.
 
-    Equal IRIs read in one parse are one ``Iri`` object, so dictionary
-    lookups between them stop at the identity test. ``iris`` is keyed by
-    the resolved IRI, so rebinding a prefix needs no invalidation.
+    One ``findall`` of the scan form cuts the text into ``tokens``, its
+    token texts, and the productions read them by text alone: a string
+    keeps its quotes, so punctuation and keywords are tested by equality.
+    ``_term`` resolves each distinct text to its IRI or literal once (a
+    subclass clears ``terms`` when a prefix is bound), and equal IRIs read
+    in one parse are one ``Iri`` object, so dictionary lookups between
+    them stop at the identity test.
+
+    A parse that goes well builds no token object and computes no
+    position. Where a parse stops, a production raises ``_Stop``; ``run``
+    catches it and runs ``_tokenize`` over the text once. That raises the
+    text's first lexer error, so lexer errors win over parser errors as if
+    the whole text had been tokenized first, and otherwise names and
+    places the token where the parse stopped, for the error ``_Stop``
+    builds. So an error deep in nested brackets needs no more stack than
+    the production that found it.
     """
 
-    def __init__(self, text: str, token_re: re.Pattern, error,
-                 prefixes: dict[str, str]):
+    scan_re: re.Pattern
+    token_re: str
+
+    def __init__(self, text: str, prefixes: dict[str, str]):
         self.text = text
-        self.error = error
         self.prefixes = prefixes
         self.iris: dict[str, Iri] = {RDF.type.value: RDF.type}  # 'a' is RDF.type
-        self.tokens = _tokenize(text, token_re, error)
+        self.terms: dict[str, Iri | Literal | None] = {}
+        self.tokens: list[str] = self.scan_re.findall(text)
         self.idx = 0
 
-    def _peek(self) -> _Token:
-        return self.tokens[self.idx]
+    def _error(self, message: str) -> _Stop:
+        """The syntax error ``message`` at the cursor's token."""
+        return _Stop(lambda tok: self.error(self.text, tok.pos, message))
 
-    def _next(self) -> _Token:
-        tok = self.tokens[self.idx]
-        self.idx += 1
-        return tok
-
-    def _term(self, tok: _Token) -> Iri | Literal | None:
-        """The IRI or literal ``tok`` stands for, or None for any other token."""
-        if tok.kind == "iriref":
-            value = tok.value
-        elif tok.kind == "pname":
-            prefix, _, local = tok.value.partition(":")
+    def _term(self, t: str) -> Iri | Literal | None:
+        """The IRI or literal the token text ``t`` at the cursor stands
+        for, or None for any other token. A malformed string, IRI or
+        numeral stands for nothing: the parse stops there, and ``run``
+        reports the lexer error. The first character tells a string or an
+        IRI; each distinct text is read once."""
+        term = self.terms.get(t, _UNSEEN)
+        if term is not _UNSEEN:
+            return term
+        term = value = None
+        first = t[:1]
+        if first == '"':
+            if t != '"':
+                try:
+                    term = Literal(_unquote(t), XSD.string)
+                except ValueError:
+                    pass
+        elif first == "<":
+            if t[-1] == ">" and _SCHEME_RE.match(t[1:-1]):
+                value = t[1:-1]
+        elif _PNAME_RE.match(t):
+            prefix, _, local = t.partition(":")
             ns = self.prefixes.get(prefix)
             if ns is None:
-                raise self.error(self.text, tok.pos, f"undefined prefix '{prefix}:'")
+                raise self._error(f"undefined prefix '{prefix}:'")
             value = ns + local
-        else:
-            datatype = _LITERAL_DATATYPES.get(tok.kind)
-            return None if datatype is None else Literal(tok.value, datatype)
-        iri = self.iris.get(value)
-        if iri is None:
-            iri = self.iris[value] = Iri(value)
-        return iri
+        elif t == "true" or t == "false":
+            term = Literal(t, XSD.boolean)
+        elif _NUMERAL_RE.fullmatch(t):
+            term = Literal(t, _LITERAL_DATATYPES[_numeral_kind(t)])
+        if value is not None:
+            term = self.iris.get(value)
+            if term is None:
+                term = self.iris[value] = Iri(value)
+        self.terms[t] = term
+        return term
 
     def _predicate_object_list(self, subject, verb, obj, triple, add,
                                ends: tuple[str, ...]) -> None:
@@ -562,34 +649,37 @@ class _Parser:
         Turtle and SPARQL share. ``verb()`` and ``obj()`` parse one
         predicate and one object, ``triple(subject, predicate, object)``
         builds each triple and ``add`` takes it, in order; a dangling run
-        of ``;`` may stand before a token in ``ends``. Punctuation is
-        tested by its text: only a string token can hold the same text,
-        and it never counts."""
+        of ``;`` may stand before a token in ``ends``."""
         tokens = self.tokens
         while True:
             predicate = verb()
             add(triple(subject, predicate, obj()))
-            tok = tokens[self.idx]
-            while tok.value == "," and tok.kind != "string":
+            t = tokens[self.idx]
+            while t == ",":
                 self.idx += 1
                 add(triple(subject, predicate, obj()))
-                tok = tokens[self.idx]
-            if tok.value != ";" or tok.kind == "string":
+                t = tokens[self.idx]
+            if t != ";":
                 return
-            while tok.value == ";" and tok.kind != "string":
+            while t == ";":
                 self.idx += 1
-                tok = tokens[self.idx]
-            if tok.value in ends and tok.kind != "string":
+                t = tokens[self.idx]
+            if t in ends:
                 return
 
     def run(self):
-        """``parse()``; nesting deeper than the interpreter's recursion
-        limit allows is a syntax error at the token where it stopped."""
+        """``parse()``, or the error where it stopped; nesting deeper than
+        the interpreter's recursion limit allows is a syntax error at the
+        token where it stopped."""
         try:
             return self.parse()
+        except _Stop as exc:
+            stop = exc
         except RecursionError:
-            tok = self.tokens[min(self.idx, len(self.tokens) - 1)]
-            raise self.error(self.text, tok.pos, "nesting too deep") from None
+            stop = self._error("nesting too deep")
+        # raises the text's first lexer error, if it has one
+        tokens = _tokenize(self.text, re.compile(self.token_re, re.VERBOSE), self.error)
+        raise stop.args[0](tokens[min(self.idx, len(tokens) - 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -597,17 +687,25 @@ class _Parser:
 # ---------------------------------------------------------------------------
 
 class _TurtleParser(_Parser):
+    scan_re, token_re, error = _SCAN_RE, _TOKEN_RE, staticmethod(_syntax_error)
+
     def __init__(self, source: str):
         self.graph = Graph()
-        super().__init__(source, _TOKEN_RE, _syntax_error, self.graph._prefixes)
+        super().__init__(source, self.graph._prefixes)
+        # the graph is new and unread until the parse ends
+        self.add = self.graph._triples.add
         self._bnode_counter = 0
         self._doc_labels: dict[str, BlankNode] = {}
 
-    def _expect(self, kind: str) -> _Token:
-        tok = self._next()
-        if tok.kind != kind:
-            raise _syntax_error(self.text, tok.pos, f"expected {kind}, found {tok.kind}")
-        return tok
+    def _expected(self, what: str) -> _Stop:
+        """"expected ``what``, found" the kind of the cursor's token."""
+        return _Stop(lambda tok: _syntax_error(self.text, tok.pos,
+                                               f"expected {what}, found {tok.kind}"))
+
+    def _expect(self, t: str, kind: str) -> None:
+        if self.tokens[self.idx] != t:
+            raise self._expected(kind)
+        self.idx += 1
 
     def _fresh_bnode(self) -> BlankNode:
         b = BlankNode(f"b{self._bnode_counter:03d}")
@@ -615,41 +713,48 @@ class _TurtleParser(_Parser):
         return b
 
     def parse(self) -> Graph:
-        while self._peek().kind != "eof":
-            if self._peek().kind == "at_prefix":
+        tokens = self.tokens
+        while tokens[self.idx]:
+            if tokens[self.idx] == "@prefix":
                 self._prefix_directive()
             else:
                 self._triples_block()
         return self.graph
 
     def _prefix_directive(self):
-        self._next()
-        tok = self._next()
-        if tok.kind != "pname" or not tok.value.endswith(":"):
-            raise _syntax_error(self.text, tok.pos, "expected 'label:' after @prefix")
-        iri_tok = self._expect("iriref")
-        self._expect("dot")
-        self.graph.bind(tok.value[:-1], iri_tok.value)
+        tokens = self.tokens
+        self.idx += 1
+        label = tokens[self.idx]
+        if not (label.endswith(":") and _PNAME_RE.match(label)):
+            raise self._error("expected 'label:' after @prefix")
+        self.idx += 1
+        iri = tokens[self.idx]
+        if iri[:1] != "<" or self._term(iri) is None:
+            raise self._expected("iriref")
+        self.idx += 1
+        self._expect(".", "dot")
+        self.graph.bind(label[:-1], iri[1:-1])
+        self.terms.clear()  # prefixed names may now stand for other IRIs
 
     def _triples_block(self):
         # blankNodePropertyList predicateObjectList? : "[ ex:p ex:o ] ." is
         # a statement, "[] ." is not
         tokens, idx = self.tokens, self.idx
-        listed = tokens[idx].kind == "lbracket" and tokens[idx + 1].kind != "rbracket"
+        listed = tokens[idx] == "[" and tokens[idx + 1] != "]"
         subject = self._subject()
-        if not (listed and self._peek().kind == "dot"):
+        if not (listed and tokens[self.idx] == "."):
             self._statements(subject)
-        self._expect("dot")
+        self._expect(".", "dot")
 
     def _statements(self, subject: Term):
         self._predicate_object_list(subject, self._verb, self._object, Triple,
-                                    self.graph.add, (".", "]"))
+                                    self.add, (".", "]"))
 
     def _subject(self) -> Term:
-        tok = self._peek()
-        if tok.kind not in ("iriref", "pname", "blank", "lbracket"):
-            raise _syntax_error(self.text, tok.pos, f"expected subject, found {tok.kind}")
-        return self._object()
+        t = self.tokens[self.idx]
+        if t == "[" or _is_blank(t) or self._term(t).__class__ is Iri:
+            return self._object()
+        raise self._expected("subject")
 
     def _doc_label(self, label: str) -> BlankNode:
         if label not in self._doc_labels:
@@ -657,47 +762,57 @@ class _TurtleParser(_Parser):
         return self._doc_labels[label]
 
     def _iri_term(self) -> Iri:
-        tok = self._next()
-        term = self._term(tok)
-        if not isinstance(term, Iri):
-            raise _syntax_error(self.text, tok.pos, f"expected IRI, found {tok.kind}")
+        term = self._term(self.tokens[self.idx])
+        if term.__class__ is not Iri:
+            raise self._expected("IRI")
+        self.idx += 1
         return term
 
     def _verb(self) -> Iri:
-        tok = self._peek()
-        if tok.kind == "a":
-            self._next()
+        t = self.tokens[self.idx]
+        if t == "a":
+            self.idx += 1
             return RDF.type
-        if tok.kind in ("iriref", "pname"):
-            self._next()
-            return self._term(tok)
-        raise _syntax_error(self.text, tok.pos, f"expected predicate, found {tok.kind}")
+        term = self._term(t)
+        if term.__class__ is not Iri:
+            raise self._expected("predicate")
+        self.idx += 1
+        return term
 
     def _object(self) -> Term:
-        tok = self._peek()
-        if tok.kind == "blank":
-            self._next()
-            return self._doc_label(tok.value)
-        if tok.kind == "lbracket":
-            return self._bnode_property_list()
-        term = self._term(tok)
+        tokens = self.tokens
+        t = tokens[self.idx]
+        term = self._term(t)
         if term is None:
-            raise _syntax_error(self.text, tok.pos, f"expected object, found {tok.kind}")
-        self._next()
-        if tok.kind == "string" and self._peek().kind == "dcaret":
-            self._next()
-            return Literal(tok.value, self._iri_term())
-        if tok.kind == "string" and self._peek().kind == "lang":
-            return Literal(tok.value, language=self._next().value.lower())
+            if t == "[":
+                return self._bnode_property_list()
+            if not _is_blank(t):
+                raise self._expected("object")
+            self.idx += 1
+            return self._doc_label(t[2:])
+        self.idx += 1
+        if t[0] == '"':
+            after = tokens[self.idx]
+            if after == "^^":
+                self.idx += 1
+                return Literal(term.lexical, self._iri_term())
+            if after[:1] == "@" and after not in _AT_WORDS:
+                self.idx += 1
+                return Literal(term.lexical, language=after[1:].lower())
         return term
 
     def _bnode_property_list(self) -> BlankNode:
-        self._expect("lbracket")
         node = self._fresh_bnode()
-        if self._peek().kind != "rbracket":
+        self.idx += 1  # '['
+        if self.tokens[self.idx] != "]":
             self._statements(node)
-        self._expect("rbracket")
+        self._expect("]", "rbracket")
         return node
+
+
+def _is_blank(t: str) -> bool:
+    """Is ``t`` the text of a labelled blank node (``_:`` alone is not)?"""
+    return t[:2] == "_:" and len(t) > 2
 
 
 def parse_turtle(source: str) -> Graph:

@@ -13,9 +13,12 @@ Everything else (OPTIONAL, UNION, subqueries, aggregates, property
 paths, ...) is rejected at parse time by name, so a query either runs
 under these semantics or fails loudly.
 
-Terms are lexed exactly as in Turtle (``rdf._tokenize``): absolute IRIs
-only, prefixed names whose local part does not end in ``.``, short and
-long strings with the Turtle escapes, and numerals in ASCII digits.
+Terms are lexed exactly as in Turtle: the query grammar is built by
+``rdf._token_grammar`` from the Turtle term fragments plus variables,
+names and operators, and ``rdf._Parser`` reads the token texts its scan
+form cuts. So IRIs are absolute, prefixed names have no final ``.`` in
+their local part, strings are short or long with the Turtle escapes, and
+numerals are written in ASCII digits.
 
 Evaluation uses nested-loop joins over ``Graph.match``. A type error
 inside an expression does not abort the query: the offending solution
@@ -27,12 +30,11 @@ from __future__ import annotations
 
 import math
 import operator
-import re
 
 from ._record import Record
 from .errors import SparqlSyntaxError, TypeMismatchError, UnboundVariableError
-from .rdf import (_CATCH_ALL, _TERMS, RDF, STANDARD_PREFIXES, XSD, Graph, Iri, Literal,
-                  Term, _Parser, _Token, in_lexical_space, is_numeric_literal)
+from .rdf import (RDF, STANDARD_PREFIXES, XSD, Graph, Iri, Literal, Term, _Parser, _Stop,
+                  _token_grammar, in_lexical_space, is_numeric_literal)
 
 Binding = dict[str, Term]
 
@@ -134,15 +136,20 @@ class EvalDiagnostic(Record):
 # Lexer: the Turtle lexer's term fragments plus variables, names and operators
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(_TERMS + r"""
+_TOKEN_RE, _SCAN_RE = _token_grammar(r"""
   | (?P<var>[?$][A-Za-z_][A-Za-z0-9_]*)
   | (?P<name>[A-Za-z][A-Za-z0-9_]*)
   | (?P<op><=|>=|!=|[{}().;,=<>+\-*/])
-""" + _CATCH_ALL, re.VERBOSE)
+""")
 
 
 def _syntax_error(text: str, pos: int, message: str) -> SparqlSyntaxError:
     return SparqlSyntaxError(f"{message} at offset {pos}")
+
+
+def _is_var(t: str) -> bool:
+    """Is ``t`` the text of a variable (``?`` or ``$`` alone is not)?"""
+    return t[:1] in ("?", "$") and len(t) > 1
 
 
 # ---------------------------------------------------------------------------
@@ -164,62 +171,77 @@ _MAX_NESTING = 100
 
 
 class _QueryParser(_Parser):
+    scan_re, token_re, error = _SCAN_RE, _TOKEN_RE, staticmethod(_syntax_error)
+
     def __init__(self, text: str, prefixes: dict[str, str]):
-        super().__init__(text, _TOKEN_RE, _syntax_error, prefixes)
+        super().__init__(text, prefixes)
         self.depth = 0  # expression levels around the next operand
 
-    def _expect_op(self, op: str) -> None:
-        tok = self._next()
-        if tok.kind != "op" or tok.value != op:
-            raise SparqlSyntaxError(f"expected {op!r}, found {tok.value!r}")
+    def _fail(self, message: str) -> _Stop:
+        """``SparqlSyntaxError(message)``, with no offset."""
+        return _Stop(lambda tok: SparqlSyntaxError(message))
 
-    def _keyword(self, tok: _Token) -> str | None:
-        """A name token's keyword (any case), None for other tokens."""
-        if tok.kind != "name":
-            return None
-        upper = tok.value.upper()
+    def _expected(self, what: str) -> _Stop:
+        """"expected ``what``, found" the value of the cursor's token."""
+        return _Stop(lambda tok: SparqlSyntaxError(f"expected {what}, found {tok.value!r}"))
+
+    def _expect_op(self, op: str) -> None:
+        if self.tokens[self.idx] != op:
+            raise self._expected(repr(op))
+        self.idx += 1
+
+    def _keyword(self, t: str) -> str:
+        """The token text ``t`` upper-cased, to compare with keywords, which
+        match in any case. Only a bare word reads as one: every other
+        token holds a quote, colon, sign, digit or bracket, or is one
+        character, and no character upper-cases to a keyword."""
+        upper = t.upper()
         if upper in _UNSUPPORTED:
-            raise SparqlSyntaxError(f"{upper} is not supported in constraint queries")
+            raise self._fail(f"{upper} is not supported in constraint queries")
         return upper
 
     def _expect_keyword(self, kw: str) -> None:
-        tok = self._next()
-        if self._keyword(tok) != kw:
-            raise SparqlSyntaxError(f"expected {kw}, found {tok.value!r}")
+        if self._keyword(self.tokens[self.idx]) != kw:
+            raise self._expected(kw)
+        self.idx += 1
 
     # -- entry ---------------------------------------------------------------
 
     def parse(self) -> SparqlQuery:
+        tokens = self.tokens
         self._expect_keyword("SELECT")
         select_vars = []
-        while self._peek().kind == "var":
-            select_vars.append(self._next().value[1:])
+        while _is_var(tokens[self.idx]):
+            select_vars.append(tokens[self.idx][1:])
+            self.idx += 1
         if not select_vars:
-            raise SparqlSyntaxError("SELECT needs at least one variable")
+            raise self._fail("SELECT needs at least one variable")
         self._expect_keyword("WHERE")
         self._expect_op("{")
         clauses = self._group()
         self._expect_op("}")
-        if self._peek().kind != "eof":
-            raise SparqlSyntaxError(f"trailing content after '}}': {self._peek().value!r}")
+        if tokens[self.idx]:
+            raise _Stop(lambda tok: SparqlSyntaxError(
+                f"trailing content after '}}': {tok.value!r}"))
         query = SparqlQuery(tuple(select_vars), tuple(clauses), self.text)
         _check_variable_scope(query)
         return query
 
     def _group(self) -> list[ClauseItem]:
+        tokens = self.tokens
         clauses: list[ClauseItem] = []
         while True:
-            tok = self._peek()
-            if tok.kind == "op" and tok.value == "}":
+            t = tokens[self.idx]
+            if t == "}":
                 return clauses
-            if tok.kind == "eof":
-                raise SparqlSyntaxError("unterminated group, expected '}'")
-            kw = self._keyword(tok)
+            if not t:
+                raise self._fail("unterminated group, expected '}'")
+            kw = self._keyword(t)
             if kw == "BIND":
-                self._next()
+                self.idx += 1
                 clauses.append(self._bind())
             elif kw == "FILTER":
-                self._next()
+                self.idx += 1
                 clauses.append(FilterClause(*self._arguments(1)))
             else:
                 self._predicate_object_list(
@@ -227,26 +249,28 @@ class _QueryParser(_Parser):
                     lambda: self._pattern_term("object"), TriplePattern, clauses.append,
                     (".", "}"))
             # statement separator is optional before '}' and after BIND/FILTER
-            if self._peek().kind == "op" and self._peek().value == ".":
-                self._next()
+            if tokens[self.idx] == ".":
+                self.idx += 1
 
     # -- triple patterns -------------------------------------------------
 
     def _pattern_verb(self) -> Term | Var:
-        if self._peek().kind == "a":
-            self._next()
+        if self.tokens[self.idx] == "a":
+            self.idx += 1
             return RDF.type
         return self._pattern_term(position="predicate")
 
     def _pattern_term(self, position: str) -> Term | Var:
-        tok = self._next()
-        if tok.kind == "var":
-            return Var(tok.value[1:])
-        term = self._term(tok)
+        t = self.tokens[self.idx]
+        if _is_var(t):
+            self.idx += 1
+            return Var(t[1:])
+        term = self._term(t)
         if isinstance(term, Iri) or (term is not None and position == "object"):
+            self.idx += 1
             return term
-        self._keyword(tok)  # raises for unsupported keywords
-        raise SparqlSyntaxError(f"expected {position} term, found {tok.value!r}")
+        self._keyword(t)  # raises for unsupported keywords
+        raise self._expected(f"{position} term")
 
     # -- BIND / FILTER ----------------------------------------------------
 
@@ -254,11 +278,12 @@ class _QueryParser(_Parser):
         self._expect_op("(")
         expr = self._expression()
         self._expect_keyword("AS")
-        tok = self._next()
-        if tok.kind != "var":
-            raise SparqlSyntaxError(f"expected variable after AS, found {tok.value!r}")
+        t = self.tokens[self.idx]
+        if not _is_var(t):
+            raise self._expected("variable after AS")
+        self.idx += 1
         self._expect_op(")")
-        return BindClause(expr, tok.value[1:])
+        return BindClause(expr, t[1:])
 
     def _arguments(self, count: int) -> list[Expression]:
         """``( expr (, expr)* )`` with ``count`` expressions."""
@@ -279,24 +304,24 @@ class _QueryParser(_Parser):
         deeper = level + 1 < len(_BINARY)
         left = self._expression(level + 1) if deeper else self._unary()
         while True:
-            tok = self._peek()
-            if tok.kind != "op" or tok.value not in ops:
+            op = self.tokens[self.idx]
+            if op not in ops:
                 return left
-            self._next()
+            self.idx += 1
             right = self._expression(level + 1) if deeper else self._unary()
-            left = node(tok.value, left, right)
+            left = node(op, left, right)
             if not chains:
                 return left
 
     def _unary(self) -> Expression:
-        tok = self._peek()
         if self.depth > _MAX_NESTING:
-            raise _syntax_error(self.text, tok.pos, "nesting too deep")
+            raise self._error("nesting too deep")
         self.depth += 1
-        if tok.kind == "op" and tok.value in ("-", "+"):
-            self._next()
+        sign = self.tokens[self.idx]
+        if sign == "-" or sign == "+":
+            self.idx += 1
             expr = self._unary()
-            if tok.value == "-":
+            if sign == "-":
                 expr = Neg(expr)
         else:
             expr = self._primary()
@@ -304,22 +329,22 @@ class _QueryParser(_Parser):
         return expr
 
     def _primary(self) -> Expression:
-        tok = self._peek()
-        if tok.kind == "op" and tok.value == "(":
+        t = self.tokens[self.idx]
+        if t == "(":
             return self._arguments(1)[0]
-        self._next()
-        if tok.kind == "var":
-            return VarRef(tok.value[1:])
-        term = self._term(tok)
+        if _is_var(t):
+            self.idx += 1
+            return VarRef(t[1:])
+        term = self._term(t)
         if term is not None:
+            self.idx += 1
             value = _term_value(term)
             return _CONSTANTS.get(type(value), TermConst)(value)
-        kw = self._keyword(tok)
-        if kw == "ABS":
-            return AbsCall(*self._arguments(1))
-        if kw == "IF":
-            return IfCall(*self._arguments(3))
-        raise SparqlSyntaxError(f"expected expression, found {tok.value!r}")
+        kw = self._keyword(t)
+        if kw in ("ABS", "IF"):
+            self.idx += 1
+            return AbsCall(*self._arguments(1)) if kw == "ABS" else IfCall(*self._arguments(3))
+        raise self._expected("expression")
 
 
 def _expr_vars(expr: Expression) -> set[str]:

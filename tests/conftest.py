@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -30,6 +34,22 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for number, label, passed in sorted(ACCEPTANCE_VERDICTS):
         word = "PASS" if passed else "FAIL"
         terminalreporter.write_line(f"[{word}] criterion {number}: {label}")
+
+
+@pytest.fixture
+def script(monkeypatch):
+    """Import a repository script by its path from the root, for this
+    test only."""
+    root = Path(__file__).resolve().parents[1]
+
+    def load(relative: str):
+        spec = importlib.util.spec_from_file_location(Path(relative).stem, root / relative)
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+        spec.loader.exec_module(module)
+        return module
+
+    return load
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,6 @@
 """Obligation record parsing and block compilation."""
 
-import importlib.util
 import random
-import sys
-from pathlib import Path
 from textwrap import dedent
 
 import pytest
@@ -269,18 +266,8 @@ def test_each_query_is_parsed_once(monkeypatch):
 # Loader parity: libyaml's parser against PyYAML's own, the reference
 # ---------------------------------------------------------------------------
 
-ROOT = Path(__file__).resolve().parents[1]
 libyaml = pytest.mark.skipif(not yaml.__with_libyaml__,
                              reason="PyYAML was built without libyaml")
-
-
-def _module(monkeypatch, relative: str):
-    """Import a repository script by path, for this test only."""
-    spec = importlib.util.spec_from_file_location(Path(relative).stem, ROOT / relative)
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
-    spec.loader.exec_module(module)
-    return module
 
 
 def _parse_with_each_loader(monkeypatch, text: str) -> list:
@@ -297,8 +284,8 @@ def _parse_with_each_loader(monkeypatch, text: str) -> list:
 
 
 @libyaml
-def test_loaders_build_equal_records(monkeypatch):
-    generate = _module(monkeypatch, "perfbench/generate.py")
+def test_loaders_build_equal_records(script, monkeypatch):
+    generate = script("perfbench/generate.py")
     sources = [block_source(name) for name in BLOCK_NAMES]
     sources += [text for s in generate.obligation_sets(1) for text in s.texts]
     for text in sources:
@@ -307,8 +294,8 @@ def test_loaders_build_equal_records(monkeypatch):
 
 
 @libyaml
-def test_loaders_agree_on_mutated_sources(monkeypatch):
-    differential = _module(monkeypatch, "tools/differential.py")
+def test_loaders_agree_on_mutated_sources(script, monkeypatch):
+    differential = script("tools/differential.py")
     rng = random.Random(5)
     bases = [block_source(name) for name in BLOCK_NAMES]
     fairness = block_source("fairness")
@@ -354,6 +341,7 @@ def test_explicit_tags_are_stopped_before_construction(monkeypatch, source, acce
     (Severity.VIOLATION, Severity.WARNING, Severity.VIOLATION),
     (Severity.WARNING, Severity.VIOLATION, Severity.VIOLATION),
     (Severity.WARNING, Severity.INFO, Severity.WARNING),
+    (Severity.INFO, Severity.WARNING, Severity.WARNING),
     (Severity.INFO, Severity.INFO, Severity.INFO),
 ])
 def test_merge_severity_takes_the_stricter(a, b, expected):

@@ -3,12 +3,15 @@
 import itertools
 import logging
 import random
+import re
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import strategies as gen
+from govshapes import rdf, sparql
 from govshapes.errors import TurtleSyntaxError
 from govshapes.rdf import (
     EX,
@@ -282,12 +285,13 @@ def test_parse_typed_and_language_literals():
         @prefix ex: <http://example.org/okb#> .
         @prefix xsd: <http://www.w3.org/2001/XMLSchema#> .
         ex:s ex:when "2025-11-03T14:21:07Z"^^xsd:dateTime ;
-             ex:label "hello"@EN-GB .
+             ex:label "hello"@EN-GB, "p"@prefixes .
     """)
     objs = {t.object for t in g}
     assert Literal("2025-11-03T14:21:07Z", XSD.dateTime) in objs
     # language tags fold to lowercase
     assert Literal("hello", language="en-gb") in objs
+    assert Literal("p", language="prefixes") in objs  # not the directive
 
 
 def test_parse_bnode_property_lists():
@@ -478,6 +482,12 @@ def test_parse_absolute_iriref():
     ('<http://s.test/s> <http://p.test/p> "x"^^ .', "expected IRI"),
     ('@prefix a: <http://a.test/> .\n<http://s.test/s> <http://p.test/p> "x"^^"ab" .',
      "expected IRI"),
+    ('<http://s.test/s> <http://p.test/p> " .', "unterminated string"),
+    # after a string, only a whole language tag or '^^' continues the literal
+    ('<http://s.test/s> <http://p.test/p> "x"@ .', "language tag after '@'"),
+    ('<http://s.test/s> <http://p.test/p> "x"@base .', "@base is not supported"),
+    ('<http://s.test/s> <http://p.test/p> "x"@prefix .', "expected dot, found at_prefix"),
+    ('<http://s.test/s> <http://p.test/p> "x"^<http://t.test/T> .', "expected '^^'"),
 ])
 def test_parse_errors(source, fragment):
     with pytest.raises(TurtleSyntaxError) as err:
@@ -528,6 +538,39 @@ def test_lexer_error_position_after_layout(kind, layout, line, column):
 def test_every_lexer_error_class_has_a_position_test():
     from govshapes.rdf import _ERRORS
     assert set(_BAD_TOKENS) == set(_ERRORS)
+
+
+def test_lexer_error_wins_over_an_earlier_parser_error():
+    # line 1 lacks its object, line 2 never closes its string
+    with pytest.raises(TurtleSyntaxError) as err:
+        parse_turtle(EX_PREFIX.strip() + ' ex:s ex:p .\nex:t ex:q "open .')
+    assert str(err.value) == "line 2, col 11: unterminated string"
+
+
+@pytest.mark.parametrize("kind", sorted(_BAD_TOKENS))
+def test_every_lexer_error_class_wins_over_an_earlier_parser_error(kind):
+    bad, message = _BAD_TOKENS[kind]
+    with pytest.raises(TurtleSyntaxError) as err:
+        parse_turtle(_STATEMENT_HEAD + " .\n" + _STATEMENT_HEAD + " " + bad)
+    assert message in str(err.value)
+    assert (err.value.line, err.value.column) == (2, 37)
+
+
+@pytest.mark.parametrize("language", ["turtle", "sparql"])
+def test_scan_form_cuts_as_the_named_grammar(script, monkeypatch, language):
+    """``findall`` over the scan form and ``finditer`` over the named grammar
+    give the same token texts, each end of text included."""
+    script("perfbench/generate.py")  # the differential imports it by name
+    differential = script("tools/differential.py")
+    monkeypatch.setattr(sys, "path", list(sys.path))  # which it extends
+    bases = differential._base_inputs()[language]
+    rng = random.Random(13)
+    texts = bases + [differential.mutate(rng, rng.choice(bases)) for _ in range(500)]
+    module = rdf if language == "turtle" else sparql
+    named = re.compile(module._TOKEN_RE, re.VERBOSE)
+    for text in texts:
+        assert module._SCAN_RE.findall(text) == [
+            text[m.end(1):m.end()] for m in named.finditer(text)], text
 
 
 @pytest.mark.parametrize("source, message, line, column", [

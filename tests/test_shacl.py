@@ -202,6 +202,17 @@ def test_load_severity_and_sorted_shapes():
     ("[ sh:targetClass ex:T ; sh:property [ sh:path ex:p ; sh:minCount 1 ] ]"
      " a sh:NodeShape .",
      MalformedShapeError, "named by an IRI"),
+    # a message that is a number or an IRI, on a shape, property and query node
+    *[(body.replace("MESSAGE", f"sh:message {value}"), MalformedShapeError,
+       "sh:message must be a string literal")
+      for value in ("5", "ex:x")
+      for body in (
+          "ex:S a sh:NodeShape ; sh:targetClass ex:T ; MESSAGE ;"
+          " sh:property [ sh:path ex:p ; sh:minCount 1 ] .",
+          "ex:S a sh:NodeShape ; sh:targetClass ex:T ;"
+          " sh:property [ sh:path ex:p ; sh:minCount 1 ; MESSAGE ] .",
+          "ex:S a sh:NodeShape ; sh:targetClass ex:T ; sh:sparql [ a sh:SPARQLConstraint ;"
+          " sh:select \"SELECT $this WHERE { $this ex:p ?v }\" ; MESSAGE ] .")],
 ])
 def test_load_rejects_bad_shapes(body, error, fragment):
     with pytest.raises(error, match=fragment):

@@ -165,6 +165,13 @@ def test_unsupported_keyword_case_insensitive():
     ('SELECT $this WHERE { $this ex:p "open }', "unterminated string"),
     ("SELECT $this WHERE { FILTER($this = ٣) }", "unexpected character"),
     ("SELECT $this WHERE { FILTER($this = 7٣) }", "malformed numeric"),
+    # '?' alone is no variable, and '"' alone no string
+    ("SELECT $this ? WHERE { $this ex:p ? }", r"unexpected character '\?' at offset 13"),
+    ('SELECT $this WHERE { $this ex:p " }', "unterminated string at offset 32"),
+    # a numeral running on into a name that would read on as a keyword or a term
+    ("SELECT $this WHERE { BIND(1AS ?x) }", "malformed numeric literal '1A' at offset 26"),
+    ("SELECT $this WHERE { $this ex:p 1ex:q ?y ?z }",
+     "malformed numeric literal '1e' at offset 32"),
     ("SELECT $this WHERE { $this ex:p <rel> }", "relative IRI"),
     ("SELECT $this WHERE { $this A ex:T }", "expected predicate term"),
     # 600 signs used to parse, and then hash() and == overflowed the stack
@@ -185,6 +192,20 @@ def test_syntax_errors(text, fragment):
     ("SELECT $this WHERE { $this ex:p ?x }  # c\n  %", "unexpected character '%' at offset 44"),
 ])
 def test_syntax_error_offset_after_layout(text, message):
+    with pytest.raises(SparqlSyntaxError) as err:
+        q(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    # the pattern lacks its object at ';', the string is never closed
+    ('SELECT $this WHERE { $this ex:p ; ex:q "open }', "unterminated string at offset 39"),
+    ('SELECT $this WHERE { $this un:p ?x . $this ex:q "open }',
+     "unterminated string at offset 48"),
+    ('SELECT $this WHERE { FILTER(' + "- " * 600 + '1 = "open) }',
+     "unterminated string at offset 1232"),
+])
+def test_lexer_error_wins_over_an_earlier_parser_error(text, message):
     with pytest.raises(SparqlSyntaxError) as err:
         q(text)
     assert str(err.value) == message

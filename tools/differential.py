@@ -55,8 +55,11 @@ QUERY_SEEDS = range(1, 11)
 BLOCK_SEED = 1
 
 # What one edit may insert: punctuation, terms, escapes, keywords, layout
-# characters either lexer may reject, and runs deep enough to nest past
-# any parser limit.
+# characters either lexer may reject, runs deep enough to nest past any
+# parser limit, and texts whose first character opens several token
+# kinds (a directive, a language tag or '@'; a blank node or '_'; '^^' or
+# '^'; a prefixed name, a keyword or a bad word; a numeral, a dot or a
+# sign; an IRI or '<'), where reading a token by its text can go wrong.
 PIECES = (
     " ", ".", ";", ",", "[", "]", "(", ")", "{", "}", '"', '"""', "<", ">",
     "<rel>", "<http://x.example/y>", "ex:", "ex:p", "_:b", "a", "A",
@@ -65,6 +68,8 @@ PIECES = (
     "\\u0041", "\\q", "#", "\n", "\t", "\f", "\xa0", "٣", "²",
     "?x", "$this", "FILTER(", "BIND(", " AS ", "ABS(", "IF(", "=", "!=", "<=",
     "*", "/", "true", "OPTIONAL", "- " * 150, "(" * 60, "[ ex:p " * 60,
+    "@base", "@prefixes", "@", "_:", "^", ":a", "ex:a:b", "ex:a.", "12abc", "1e",
+    ".5e3", "+.5", "a.b", "true.x", "'", "<abc",
 )
 
 # The same for YAML block sources: indicators, tags, anchors, merge keys,
