@@ -11,13 +11,18 @@ touch.
 
 Compilation is a pure function: the same records produce byte-identical
 canonical output, whatever their input order.
+
+The layout the bundled blocks use is read directly, without PyYAML:
+records opened by ``- key: value`` and continued by ``  key: value``,
+whose values are plain words or numbers, or query texts in ``key: |-``
+literal blocks (``_read_flat`` gives the exact rules). A source spelled
+any other way is read by PyYAML, imported on first use, and gives the
+same records it always did.
 """
 
 from __future__ import annotations
 
 import re
-
-import yaml
 
 from ._record import Record
 from .errors import DuplicateIdError, SchemaError, UnknownPrefixError
@@ -39,10 +44,12 @@ _FIELDS = {
 _STRUCTURAL_ONLY = {"relation", "datatype", "value_class", "min_count"}
 _SPARQL_ONLY = {"sparql_text", "threshold_ref"}
 
-# libyaml's parser when PyYAML was built with it. Both construct through
-# SafeConstructor with the same resolver; libyaml also takes the tabs YAML
-# 1.1 allows inside plain scalars, which PyYAML's own scanner rejects.
-_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+# PyYAML's loader class for the sources _read_flat declines; None stands
+# for libyaml's parser when PyYAML was built with it, PyYAML's own
+# otherwise. Both construct through SafeConstructor with the same
+# resolver; libyaml also takes the tabs YAML 1.1 allows inside plain
+# scalars, which PyYAML's own scanner rejects.
+_LOADER = None
 
 
 def merge_severity(a: Severity, b: Severity) -> Severity:
@@ -114,16 +121,93 @@ def _name(item: dict, key: str, where: str, required: bool = True) -> Iri | None
     return _resolve_name(_need_str(item, key, where), f"{where} {key}")
 
 
+# The flat layout _read_flat reads: a field line, and the plain values
+# YAML 1.1 resolves to a bool or a null rather than a string
+# (https://yaml.org/type/bool.html, https://yaml.org/type/null.html).
+_FLAT_LINE_RE = re.compile(r"(- |  )(\w+): (.*)")
+_DECIMAL_RE = re.compile(r"0|[1-9][0-9]*")
+_YAML_WORDS = {form for word in ("yes", "no", "true", "false", "on", "off", "null")
+               for form in (word, word.title(), word.upper())}
+
+
+def _read_flat(text: str) -> list[dict] | None:
+    """The records of a source in the flat layout the bundled blocks use,
+    equal in value and type to those PyYAML builds from it; None when the
+    text leaves that layout anywhere, so PyYAML must read it.
+
+    The text holds only newlines and printable ASCII. Each line is empty,
+    a comment from column 0, ``[]`` alone (the empty list, and the only
+    content of its text), or a field: ``- key: value`` opens a record and
+    ``  key: value`` continues it, with each key one of ``_FIELDS`` and
+    once per record. A value is an int when it is a decimal numeral with
+    no sign or leading zero. Otherwise it is a string when it starts with
+    a letter, is none of YAML 1.1's bool and null words, holds no ``": "``
+    or ``" #"`` and ends in neither ``:`` nor a space. ``key: |-`` opens a
+    literal block of lines indented as deep as its first, which is not
+    blank, and at least three spaces: it keeps its empty lines but the
+    trailing ones and ends at the first non-empty line indented less. A
+    line of spaces alone is read nowhere.
+    """
+    lines = text.split("\n")
+    if not (text.isascii() and all(map(str.isprintable, lines))):
+        return None
+    records: list[dict] = []
+    empty_list = False
+    i = 0
+    while i < len(lines):
+        line = lines[i]
+        i += 1
+        if not line or line[0] == "#":
+            continue
+        if line == "[]" and not (records or empty_list):
+            empty_list = True
+            continue
+        match = _FLAT_LINE_RE.fullmatch(line)
+        if match is None or empty_list:
+            return None
+        lead, key, value = match.groups()
+        if lead == "- ":
+            records.append({})
+        elif not records:
+            return None
+        record = records[-1]
+        if key not in _FIELDS or key in record:
+            return None
+        if value == "|-":
+            first = lines[i] if i < len(lines) else ""
+            indent = len(first) - len(first.lstrip(" "))
+            if indent < 3 or indent == len(first):
+                return None
+            pad, body = first[:indent], []
+            while i < len(lines) and (not lines[i] or lines[i].startswith(pad)):
+                if lines[i].isspace():
+                    return None
+                body.append(lines[i][indent:])
+                i += 1
+            while not body[-1]:
+                body.pop()
+            value = "\n".join(body)
+        elif _DECIMAL_RE.fullmatch(value):
+            value = int(value)
+        elif not (value[:1].isalpha() and value not in _YAML_WORDS
+                  and ": " not in value and " #" not in value and value[-1] not in ": "):
+            return None
+        record[key] = value
+    return records if records or empty_list else None
+
+
 _TAG = "tag:yaml.org,2002:"
 _EXPLICIT_TAGS = {_TAG + "str", _TAG + "int", _TAG + "float"}
 _COLLECTION_TAGS = {_TAG + "seq", _TAG + "map"}
 
 
-def _reject_explicit_tags(loader, root: yaml.Node) -> None:
+def _reject_explicit_tags(loader, root) -> None:
     """Stop explicit tags other than !!str, !!int and !!float before
     construction: SafeConstructor crashes on values such as
     ``!!timestamp x`` or ``!!bool x``. A tag that restates the one the
     value resolves to anyway changes nothing and passes."""
+    import yaml
+
     seen: set[int] = set()
     stack = [root]
     while stack:
@@ -146,16 +230,30 @@ def _reject_explicit_tags(loader, root: yaml.Node) -> None:
 
 
 def _load(text: str):
-    """``yaml.load`` with the tags checked between composing and constructing."""
-    loader = _LOADER(text)
+    """``yaml.load`` with the tags checked between composing and
+    constructing, for the sources ``_read_flat`` declines. PyYAML is
+    imported here, so a run that reads only the flat layout never loads
+    it."""
+    import yaml
+
+    loader_class = _LOADER or (yaml.CSafeLoader if yaml.__with_libyaml__
+                               else yaml.SafeLoader)
     try:
-        node = loader.get_single_node()
-        if node is None:  # an empty document
-            return None
-        _reject_explicit_tags(loader, node)
-        return loader.construct_document(node)
-    finally:
-        loader.dispose()
+        loader = loader_class(text)
+        try:
+            node = loader.get_single_node()
+            if node is None:  # an empty document
+                return None
+            _reject_explicit_tags(loader, node)
+            return loader.construct_document(node)
+        finally:
+            loader.dispose()
+    except (yaml.YAMLError, ValueError) as exc:
+        # ValueError: libyaml cannot encode a lone surrogate, and
+        # SafeConstructor rejects values such as a 13th month this way
+        raise SchemaError(f"not parseable as YAML: {exc}") from exc
+    except RecursionError:
+        raise SchemaError("not parseable as YAML: nesting too deep") from None
 
 
 def parse_ir(text: str) -> list[IrRecord]:
@@ -164,16 +262,12 @@ def parse_ir(text: str) -> list[IrRecord]:
     The accepted YAML is deliberately flat: a top-level sequence of
     mappings whose values are scalars (multi-line query text via a
     literal block scalar). Anything else is a schema error, as is a
-    duplicated obligation id.
+    duplicated obligation id. ``_read_flat`` reads the layout the bundled
+    blocks use, and PyYAML every other spelling.
     """
-    try:
+    doc = _read_flat(text)
+    if doc is None:
         doc = _load(text)
-    except (yaml.YAMLError, ValueError) as exc:
-        # ValueError: libyaml cannot encode a lone surrogate, and
-        # SafeConstructor rejects values such as a 13th month this way
-        raise SchemaError(f"not parseable as YAML: {exc}") from exc
-    except RecursionError:
-        raise SchemaError("not parseable as YAML: nesting too deep") from None
     if doc is None:
         return []
     if not isinstance(doc, list):

@@ -248,6 +248,11 @@ class _QueryParser(_Parser):
                     self._pattern_term("subject"), self._pattern_verb,
                     lambda: self._pattern_term("object"), TriplePattern, clauses.append,
                     (".", "}"))
+                # SPARQL 1.1's TriplesBlock: a '.' before the next pattern
+                # (BIND, FILTER and '}' may follow directly)
+                t = tokens[self.idx]
+                if _is_var(t) or isinstance(self._term(t), Iri):
+                    raise self._expected("'.' before the next triple pattern")
             # statement separator is optional before '}' and after BIND/FILTER
             if tokens[self.idx] == ".":
                 self.idx += 1

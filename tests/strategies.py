@@ -82,3 +82,53 @@ def bnode_graphs(draw, max_triples=20):
         if i > 0 and draw(st.booleans()):
             g.add(Triple(bnodes[i - 1], draw(iris), b))
     return g
+
+
+# Obligation record files in the flat layout that ir._read_flat reads,
+# with the near misses on its border mixed in: YAML 1.1's bool and null
+# words and numerals, comments, other block headers, layout characters,
+# non-ASCII text, duplicate and unknown keys.
+_FLAT_KEYS = st.sampled_from(["obligation_id", "target_class", "constraint_type",
+                              "relation", "min_count", "sparql_text", "severity",
+                              "message", "bogus"])
+_FLAT_WORDS = ["A1", "ex:Decision", "structural", "Warning", "Needs a log.",
+               "http://x.test/y", "<http://x.test/y>", "ex:a:b", "a#b", "Don't", "0",
+               "12", "yES", "nULL"]
+_FLAT_NEAR_MISSES = ["yes", "No", "TRUE", "off", "On", "null", "Null", "NULL", "~",
+                     "01", "07", "1_0", "1:20", ".5", "1.5", ".inf", "-1", "a ",
+                     "a # c", "a: b", "x:", "a\tb", "é", "'q'", "[]", "", "|", "|+"]
+_FLAT_VALUES = st.sampled_from(_FLAT_WORDS * 3 + _FLAT_NEAR_MISSES)
+_BLOCK_HEADERS = st.sampled_from(["|-"] * 5 + ["|", "|+", "|2-", ">-", "|- # c"])
+_BLOCK_LINES = st.sampled_from(["SELECT $this WHERE {", "$this ex:p ?v .",
+                                "FILTER(?v > 1) }", "a: b # c", "- x", "", ""])
+# a line's indent in a block; 0 ends the block, unless the line is empty
+_BLOCK_INDENTS = st.sampled_from([4] * 8 + [0, 2, 3, 6])
+_CONTINUATIONS = st.sampled_from(["  "] * 8 + ["   ", " ", "- "])
+_BETWEEN = st.sampled_from(["", "# c", "  # c", "#", "   "])
+_VALID_RECORD = ("- obligation_id: {id}\n  target_class: ex:Decision\n"
+                 "  constraint_type: structural\n  relation: ex:hasUsageLog\n"
+                 "  min_count: 2\n  message: Needs a log.")
+
+
+@st.composite
+def flat_sources(draw, max_records=3):
+    """The text of an obligation record file, mostly in the flat layout."""
+    lines = []
+    if draw(st.integers(0, 9)) == 0:
+        lines.append("[]")
+    for n in range(draw(st.integers(0, max_records))):
+        if draw(st.integers(0, 3)) == 0:
+            lines += _VALID_RECORD.format(id=f"R{n}").split("\n")
+            continue
+        for i, key in enumerate(draw(st.lists(_FLAT_KEYS, min_size=1, max_size=4))):
+            lead = "- " if i == 0 else draw(_CONTINUATIONS)
+            if draw(st.booleans()):
+                lines.append(f"{lead}{key}: {draw(_FLAT_VALUES)}")
+            else:
+                lines.append(f"{lead}{key}: {draw(_BLOCK_HEADERS)}")
+                lines += [" " * draw(_BLOCK_INDENTS) + text
+                          for text in draw(st.lists(_BLOCK_LINES, min_size=1, max_size=4))]
+            if draw(st.integers(0, 4)) == 0:
+                lines.append(draw(_BETWEEN))
+    newline = draw(st.sampled_from(["\n"] * 5 + ["\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))

@@ -1,11 +1,19 @@
 """Obligation record parsing and block compilation."""
 
+import json
 import random
+import subprocess
+import sys
+from pathlib import Path
 from textwrap import dedent
+from unittest import mock
 
 import pytest
 import yaml
+from hypothesis import given, settings
 
+import strategies as gen
+from govshapes import ir
 from govshapes.corpus import BLOCK_NAMES, block_source
 from govshapes.errors import (DuplicateIdError, GovshapesError, SchemaError,
                               SparqlSyntaxError, UnknownPrefixError)
@@ -271,16 +279,27 @@ libyaml = pytest.mark.skipif(not yaml.__with_libyaml__,
 
 
 def _parse_with_each_loader(monkeypatch, text: str) -> list:
-    """``parse_ir``'s records, or its GovshapesError, per loader; any other
-    exception fails the test."""
+    """``parse_ir``'s records, or its GovshapesError: read by PyYAML's own
+    parser, by libyaml's, and as ``parse_ir`` reads it by default (the
+    flat reader first); any other exception fails the test."""
     outcomes = []
-    for loader in (yaml.SafeLoader, yaml.CSafeLoader):
-        monkeypatch.setattr("govshapes.ir._LOADER", loader)
-        try:
-            outcomes.append(parse_ir(text))
-        except GovshapesError as exc:
-            outcomes.append(exc)
+    for loader in (yaml.SafeLoader, yaml.CSafeLoader, None):
+        with monkeypatch.context() as patch:
+            if loader is not None:
+                patch.setattr("govshapes.ir._LOADER", loader)
+                patch.setattr("govshapes.ir._read_flat", lambda text: None)
+            try:
+                outcomes.append(parse_ir(text))
+            except GovshapesError as exc:
+                outcomes.append(exc)
     return outcomes
+
+
+def _same_outcome(a, b) -> bool:
+    """Equal records, or errors of one class with one message."""
+    if isinstance(a, list) or isinstance(b, list):
+        return a == b
+    return (type(a), str(a)) == (type(b), str(b))
 
 
 @libyaml
@@ -289,8 +308,10 @@ def test_loaders_build_equal_records(script, monkeypatch):
     sources = [block_source(name) for name in BLOCK_NAMES]
     sources += [text for s in generate.obligation_sets(1) for text in s.texts]
     for text in sources:
-        reference, fast = _parse_with_each_loader(monkeypatch, text)
+        reference, fast, default = _parse_with_each_loader(monkeypatch, text)
         assert isinstance(reference, list) and fast == reference
+        assert default == reference
+        assert ir._read_flat(text) is not None  # read without PyYAML
 
 
 @libyaml
@@ -307,10 +328,11 @@ def test_loaders_agree_on_mutated_sources(script, monkeypatch):
                for _ in range(300)]
     both_accept = 0
     for text in inputs:
-        reference, fast = _parse_with_each_loader(monkeypatch, text)
+        reference, fast, default = _parse_with_each_loader(monkeypatch, text)
         if isinstance(reference, list) and isinstance(fast, list):
             assert fast == reference
             both_accept += 1
+        assert _same_outcome(default, fast)
     assert both_accept > 50
 
 
@@ -331,6 +353,134 @@ def test_explicit_tags_are_stopped_before_construction(monkeypatch, source, acce
     for outcome in _parse_with_each_loader(monkeypatch, source):
         assert isinstance(outcome, SchemaError)
         assert ("explicit tag" not in str(outcome)) == accepted
+
+
+# ---------------------------------------------------------------------------
+# The flat reader: the shipped layout without PyYAML, the same records
+# ---------------------------------------------------------------------------
+
+def _typed(doc):
+    """A loaded document with each record value's type beside it, so that
+    ``1`` and ``True`` or ``"1"`` differ."""
+    if not isinstance(doc, list):
+        return type(doc), doc
+    return [[(key, type(value), value) for key, value in item.items()]
+            if isinstance(item, dict) else (type(item), item) for item in doc]
+
+
+@libyaml
+@settings(max_examples=300)
+@given(gen.flat_sources())
+def test_flat_reader_builds_what_libyaml_builds(text):
+    flat = ir._read_flat(text)
+    if flat is not None:
+        assert _typed(flat) == _typed(yaml.load(text, Loader=yaml.CSafeLoader))
+
+
+@given(gen.flat_sources())
+def test_parse_ir_outcome_does_not_depend_on_the_flat_reader(text):
+    def outcome():
+        try:
+            return parse_ir(text)
+        except GovshapesError as exc:
+            return exc
+
+    with_reader = outcome()
+    with mock.patch("govshapes.ir._read_flat", lambda text: None):
+        assert _same_outcome(with_reader, outcome())
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("[]\n", []),
+    ("# c\n- min_count: 0\n  message: yES\n\n- obligation_id: nULL",
+     [{"min_count": 0, "message": "yES"}, {"obligation_id": "nULL"}]),
+    # empty lines inside a block stay, trailing ones go; a comment from
+    # column 0 ends the block
+    ("- sparql_text: |-\n    a\n\n      b #c\n\n\n# c\n  message: ex:m",
+     [{"sparql_text": "a\n\n  b #c", "message": "ex:m"}]),
+    ("- message: |-\n   x: y\n- message: a#b", [{"message": "x: y"}, {"message": "a#b"}]),
+])
+def test_flat_reader_reads_the_flat_layout(text, expected):
+    assert _typed(ir._read_flat(text)) == _typed(expected)
+    assert _typed(yaml.load(text, Loader=yaml.SafeLoader)) == _typed(expected)
+
+
+@pytest.mark.parametrize("text", [
+    # YAML 1.1 bool and null words, and numerals other than plain decimals
+    "- message: yes", "- message: No", "- message: TRUE", "- message: off",
+    "- message: On", "- message: null", "- message: Null", "- message: ~",
+    "- min_count: 01", "- min_count: 07", "- min_count: 1_0", "- min_count: 1:20",
+    "- min_count: .5", "- min_count: 1.5", "- message: .inf", "- min_count: -1",
+    # a value that is no plain word: a trailing space, a comment, a key
+    "- message: a ", "- message: a # c", "- message: a: b", "- message: x:",
+    "- message: ", "- message:", "- message: 'a'", "- message: [a]",
+    # characters other than printable ASCII and the newline
+    "- message: a\tb", "- message: a\r\n", "- message: é", "- message: a\x85",
+    "\ufeff- message: a", "- message: a\u2028b", "- message: a\x7f",
+    # other block headers, and blocks without a first line of their own
+    "- message: |\n    a", "- message: |+\n    a", "- message: |2-\n    a",
+    "- message: >-\n    a", "- message: |- # c\n    a", "- message: |-",
+    "- message: |-\n", "- message: |-\n\n    a", "- message: |-\n  a",
+    "- message: |-\n    a\n  \n    b", "- message: |-\n    a\n    ",
+    # layout: indented comments, duplicate or unknown keys, a lone
+    # continuation, a list that is not the only content, no records at all
+    "- message: a\n  # c", "- message: a\n  message: b", "  message: a",
+    "- bogus: a", "[]\n- message: a", "- message: a\n[]", "[]\n[]", "",
+    "# only a comment\n", "---\n- message: a", "-  message: a", "- message: a\n   b",
+])
+def test_flat_reader_declines_border_spellings(text):
+    assert ir._read_flat(text) is None
+
+
+_FRESH_INTERPRETER = """
+import contextlib, io, json, sys, tempfile
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+from govshapes import cli, corpus, ir
+
+{body}
+print(json.dumps(sorted(m for m in sys.modules if m.partition(".")[0] == "yaml")))
+"""
+
+
+def _yaml_modules_after(body: str) -> list[str]:
+    """The PyYAML modules loaded once ``body`` has run in a fresh
+    interpreter that ignores the environment and user site."""
+    src = Path(ir.__file__).parents[1]
+    script = _FRESH_INTERPRETER.format(body=dedent(body))
+    result = subprocess.run([sys.executable, "-I", "-c", script, str(src)],
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+def test_bundled_runs_never_import_yaml():
+    assert _yaml_modules_after("""
+        registry = corpus.default_registry()
+        for profile in corpus.COMPILER_PROFILES + corpus.JURISDICTION_PROFILES:
+            registry.composed(profile)
+        data = Path(corpus.__file__).parent / "data"
+        with tempfile.TemporaryDirectory() as tmp, \\
+                contextlib.redirect_stdout(io.StringIO()):
+            statuses = [cli.main(argv) for argv in (
+                ["validate", f"{data}/cases/case_conform.ttl", "--profile", "Combined"],
+                ["refine"],
+                ["compose", *corpus.BLOCK_NAMES],
+                ["compile", f"{data}/blocks/fairness.ir.yaml", "-o", f"{tmp}/f.ttl"])]
+        assert statuses == [0, 0, 0, 0], statuses
+    """) == []
+
+
+def test_other_spellings_import_yaml_and_give_the_same_records():
+    assert "yaml" in _yaml_modules_after("""
+        flat = ir.parse_ir("- obligation_id: X1\\n  target_class: ex:T\\n"
+                           "  constraint_type: structural\\n  relation: ex:p\\n"
+                           "  message: M.\\n")
+        assert "yaml" not in sys.modules
+        flow = ir.parse_ir("[{obligation_id: X1, target_class: ex:T, "
+                           "constraint_type: structural, relation: ex:p, message: M.}]")
+        assert flow == flat and len(flow) == 1, (flow, flat)
+    """)
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,35 @@ def test_parse_string_never_stands_for_punctuation(group, fragment):
         q("SELECT $this WHERE { " + group + "}")
 
 
+@pytest.mark.parametrize("group, found", [
+    ("$this ex:p ?x ?x ex:q ?y", "'?x'"),
+    ("$this ex:p ?x ex:s ex:q ?y", "'ex:s'"),
+    ("$this ex:p ?x <http://o.test/s> ex:q ?y", "'http://o.test/s'"),
+    ("$this ex:p ?x, ?z ; ex:r ?w $this ex:q ?y", "'$this'"),
+])
+def test_parse_triple_patterns_need_a_dot_between_them(group, found):
+    # SPARQL 1.1 TriplesBlock: TriplesSameSubjectPath ( '.' TriplesBlock? )?
+    with pytest.raises(SparqlSyntaxError) as err:
+        q("SELECT $this WHERE { " + group + " }")
+    assert str(err.value) == f"expected '.' before the next triple pattern, found {found}"
+
+
+@pytest.mark.parametrize("group, kinds", [
+    ("$this ex:p ?x BIND(?x + 1 AS ?y)", [TriplePattern, BindClause]),
+    ("$this ex:p ?x FILTER(?x > 1)", [TriplePattern, FilterClause]),
+    ("$this ex:p ?x", [TriplePattern]),
+    ("$this ex:p ?x FILTER(?x > 1) $this ex:q ?y",
+     [TriplePattern, FilterClause, TriplePattern]),
+    ("$this ex:p ?x BIND(?x + 1 AS ?y) ?x ex:q ?z",
+     [TriplePattern, BindClause, TriplePattern]),
+])
+def test_parse_pattern_neighbours_that_need_no_dot(group, kinds):
+    # a pattern may run straight into BIND, FILTER or '}', and BIND or
+    # FILTER straight into a pattern
+    query = q("SELECT $this WHERE { " + group + " }")
+    assert [type(c) for c in query.clauses] == kinds
+
+
 def test_parse_same_name_twice_resolves_alike():
     query = q("SELECT $this WHERE { $this ex:p ?x . ?x ex:p <http://example.org/okb#p> }")
     first, second = query.clauses

@@ -14,10 +14,11 @@ record files ``perfbench/generate.py`` writes for seed 1) ``N`` times
 each, runs every input through each side (one fresh interpreter per
 side, the two at once), and prints how many inputs gave the same outcome
 on both sides, then each class of differing outcomes with its count and
-one example input. The parent side runs with ``PYTHONHASHSEED=0`` and the
-change side with ``PYTHONHASHSEED=1``, so an outcome that depends on set
-or dictionary order shows up as a difference, and the same seeds
-reproduce it.
+one example input, and last how many block sources each side read
+without PyYAML (through ``ir._read_flat``, where the side has it). The
+parent side runs with ``PYTHONHASHSEED=0`` and the change side with
+``PYTHONHASHSEED=1``, so an outcome that depends on set or dictionary
+order shows up as a difference, and the same seeds reproduce it.
 
 An outcome is either a value or an exception. A Turtle input's value is
 a digest of its triples, prefixes and canonical serialization and of
@@ -75,7 +76,10 @@ PIECES = (
 # The same for YAML block sources: indicators, tags, anchors, merge keys,
 # layout (tabs among it), characters no YAML reader accepts (a lone
 # surrogate, NUL), record fields and values, and nesting past any
-# recursion limit.
+# recursion limit; then the border of ir._read_flat, the reader of the
+# flat layout: other block headers, a CRLF, YAML 1.1's bool, null, octal,
+# underscored, sexagesimal and infinite values, a comment after a value
+# and trailing spaces.
 BLOCK_PIECES = (
     " ", "\n", "\t", " \t", "  ", "- ", ": ", "? ", "[", "]", "{", "}", ",",
     "#", "'", '"', "|", "|-", ">", "&a ", "*a", "<<: ", "!!int ", "!!str ",
@@ -84,6 +88,8 @@ BLOCK_PIECES = (
     "ex:", "ex:p", "<rel>", "http://x.example/y", "obligation_id: ",
     "min_count: ", "severity: Warning", "true", "1.5", "-1", "2001-13-01",
     "[" * 600, "{a: " * 600, "- " * 300,
+    "|+", "|2", "\r\n", "yes", "No", "~", "null", "07", "1_0", "1:20", ".inf",
+    " # c", "  \n",
 )
 
 # Turtle documents whose blank nodes take each path of the serializer: a
@@ -169,8 +175,7 @@ def _outcome(fn, text: str) -> list[str]:
 
 
 def work(mutations: int, seed: int, outcomes_path: str) -> None:
-    from govshapes import corpus
-    from govshapes.ir import parse_ir
+    from govshapes import corpus, ir
     from govshapes.rdf import EX, parse_turtle, serialize_turtle
     from govshapes.shacl import emit_report_graph
     from govshapes.sparql import evaluate, parse_sparql
@@ -199,13 +204,20 @@ def work(mutations: int, seed: int, outcomes_path: str) -> None:
                           repr(diagnostics)]
         return parts
 
+    read_flat = getattr(ir, "_read_flat", None)  # None where PyYAML reads all
+    flat_accepted = None if read_flat is None else 0
+
     def blocks(text):
-        return [repr(parse_ir(text))]
+        nonlocal flat_accepted
+        if read_flat is not None and read_flat(text) is not None:
+            flat_accepted += 1
+        return [repr(ir.parse_ir(text))]
 
     front_ends = {"turtle": turtle, "sparql": sparql, "blocks": blocks}
     outcomes = [_outcome(front_ends[kind], text)
                 for kind, text in iter_inputs(mutations, seed)]
-    Path(outcomes_path).write_text(json.dumps(outcomes), "utf-8")
+    side = {"outcomes": outcomes, "flat_accepted": flat_accepted}
+    Path(outcomes_path).write_text(json.dumps(side), "utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +231,9 @@ def _start_side(src: Path, hash_seed: int, mutations: int, seed: int,
                              str(seed), str(outcomes_path)], env=env)
 
 
-def _outcomes(process: subprocess.Popen, outcomes_path: Path) -> list:
+def _side(process: subprocess.Popen, outcomes_path: Path) -> dict:
+    """The side's outcomes, and how many block sources its flat reader
+    accepted (None when it has none)."""
     if process.wait() != 0:
         raise SystemExit(f"worker exited with status {process.returncode}")
     return json.loads(outcomes_path.read_text("utf-8"))
@@ -274,8 +288,12 @@ def main() -> None:
         processes = [_start_side(src.resolve(), hash_seed, args.mutations, args.seed, path)
                      for hash_seed, src, path in zip((0, 1), (args.parent_src, args.change_src),
                                                      paths)]
-        parent, change = [_outcomes(p, path) for p, path in zip(processes, paths)]
-    compare(iter_inputs(args.mutations, args.seed), parent, change)
+        parent, change = [_side(p, path) for p, path in zip(processes, paths)]
+    compare(iter_inputs(args.mutations, args.seed), parent["outcomes"], change["outcomes"])
+    for name, side in (("parent", parent), ("change", change)):
+        flat = side["flat_accepted"]
+        print(f"blocks read by the flat reader, {name}: "
+              + ("none (no flat reader)" if flat is None else str(flat)))
 
 
 if __name__ == "__main__":
