@@ -23,7 +23,6 @@ import argparse
 import json
 import sys
 import time
-from datetime import datetime, timezone
 from pathlib import Path
 
 from . import corpus as corpus_data
@@ -49,6 +48,7 @@ def _sha256(data: bytes) -> str:
 
 def _append_run_record(log_path: str, command: list[str],
                        inputs: dict[str, str], report_hash: str, **counts: int) -> None:
+    from datetime import datetime, timezone  # imported here, not at every CLI start-up
     record = {
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "command": " ".join(command),

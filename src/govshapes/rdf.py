@@ -34,6 +34,7 @@ maps serialize to byte-identical text, regardless of insertion order.
 from __future__ import annotations
 
 import re
+from operator import attrgetter
 
 from ._record import Frozen
 from .errors import TurtleSyntaxError
@@ -829,9 +830,7 @@ def parse_turtle(source: str) -> Graph:
 # Canonical serializer
 # ---------------------------------------------------------------------------
 
-def _predicate_sort_key(p: Iri) -> tuple:
-    """``a`` first, then predicates by IRI."""
-    return (0,) if p == RDF.type else (1, p.value)
+_sort_key = attrgetter("_key")  # term_sort_key, without a Python call
 
 
 class _Serializer:
@@ -851,12 +850,19 @@ class _Serializer:
     blocks come in three runs: IRI subjects by IRI; then blank nodes that
     nothing names, headed ``[]``, by content key and then input label;
     then labelled nodes by label text, so ``_:c10`` precedes ``_:c2``.
+
+    Each blank node's and each term's work is done once per call. One pass
+    over the blank-node edges finds ``cyclic``, the blank nodes from which
+    a cycle is reachable. ``keys`` keeps the content key of every other
+    blank node, ``texts`` the text of each IRI, literal and labelled blank
+    node, and ``heads`` each predicate's text and the space after it
+    (``a `` for ``rdf:type``). The three are keyed by the term's sort key,
+    whose hash is computed in C. Nothing is kept between calls.
     """
 
     def __init__(self, graph: Graph):
         self.graph = graph
         self.used_prefixes: set[str] = set()
-        self.iri_texts: dict[str, str] = {}  # IRI value -> its rendering
         # longest-namespace-first so nested namespaces resolve correctly
         self.ns_by_length = sorted(graph.prefixes.items(),
                                    key=lambda kv: (-len(kv[1]), kv[0]))
@@ -868,37 +874,62 @@ class _Serializer:
             if isinstance(o, BlankNode):
                 refs[o] = refs.get(o, 0) + 1
         self.by_subject, self.refs = by_subject, refs
+        self.cyclic = self._reaching_a_cycle()
+        self.keys: dict[tuple, str] = {}
+        self.texts: dict[tuple, str] = {}
+        self.heads: dict[tuple, str] = {RDF.type._key: "a "}
 
     # -- blank node canonical content keys ---------------------------------
 
+    def _reaching_a_cycle(self) -> set[BlankNode]:
+        """The blank nodes from which a cycle of blank nodes is reachable:
+        those left after peeling off sinks again and again."""
+        left: dict[BlankNode, int] = {}  # node -> its blank-node edges not yet peeled
+        parents: dict[BlankNode, list[BlankNode]] = {}  # node -> one subject per edge
+        for s, by_pred in self.by_subject.items():
+            if isinstance(s, BlankNode):
+                for objs in by_pred.values():
+                    for o in objs:
+                        if isinstance(o, BlankNode):
+                            parents.setdefault(o, []).append(s)
+                            left[s] = left.get(s, 0) + 1
+        sinks = [b for b in parents if b not in left]
+        while sinks:
+            for s in parents.get(sinks.pop(), ()):
+                left[s] -= 1
+                if not left[s]:
+                    sinks.append(s)
+        return {b for b, n in left.items() if n}
+
     def content_key(self, b: BlankNode, stack: tuple = ()) -> str:
-        # computed fresh from the node's own perspective every time: a
-        # shared cache would pin the ~cycle~ marker wherever the first
-        # caller happened to stand, making labels depend on input order
+        # No cycle is reachable from a node outside ``cyclic``, so no node
+        # below it is on any caller's stack, and its key is kept once made.
+        # A node in ``cyclic`` is computed afresh from each caller's point
+        # of view: a shared cache would pin the ~cycle~ marker wherever the
+        # first caller happened to stand, making labels depend on input
+        # order.
+        key = self.keys.get(b._key)
+        if key is not None:
+            return key
         if b in stack:
             return "~cycle~"
         stack += (b,)
         parts = [p.value + "=" + (self.content_key(o, stack) if isinstance(o, BlankNode)
-                                  else repr(term_sort_key(o)))
+                                  else repr(o._key))
                  for p, objs in self.by_subject.get(b, _EMPTY).items() for o in objs]
-        return "(" + ";".join(sorted(parts)) + ")"
-
-    def _is_cyclic(self, b: BlankNode, stack: tuple = ()) -> bool:
-        if b in stack:
-            return True
-        return any(isinstance(o, BlankNode) and self._is_cyclic(o, stack + (b,))
-                   for objs in self.by_subject.get(b, _EMPTY).values() for o in objs)
+        key = "(" + ";".join(sorted(parts)) + ")"
+        if b not in self.cyclic:
+            self.keys[b._key] = key
+        return key
 
     # -- rendering ----------------------------------------------------------
 
     def render(self) -> str:
         # blank nodes needing a stable label: multiply referenced or cyclic
-        labelled = sorted(
-            (b for b in self.refs.keys() | self.by_subject.keys()
-             if isinstance(b, BlankNode)
-             and (self.refs.get(b, 0) >= 2 or self._is_cyclic(b))),
-            key=lambda b: (self.content_key(b), b.label))
+        labelled = sorted(self.cyclic.union(b for b, n in self.refs.items() if n >= 2),
+                          key=lambda b: (self.content_key(b), b.label))
         self.labels = {b: f"c{i}" for i, b in enumerate(labelled)}
+        self.texts.update((b._key, "_:" + label) for b, label in self.labels.items())
         # (place, head, subject) for each subject written as a block
         blocks = sorted(
             ((0, s.value), self._render_iri(s), s) if isinstance(s, Iri)
@@ -918,33 +949,50 @@ class _Serializer:
             # the output label breaks ties between a labelled and an inline
             # node, the input label between two inline nodes
             return (2, self.content_key(o), self.labels.get(o, ""), o.label)
-        return term_sort_key(o)
+        return o._key
 
     def _predicate_objects(self, s: Term) -> list[str]:
-        """``p o1, o2`` for each predicate of ``s``, in canonical order."""
+        """``p o1, o2`` for each predicate of ``s``: ``a`` first, then by
+        IRI, and the objects of each in canonical order."""
         by_pred = self.by_subject.get(s, _EMPTY)
-        return [("a" if p == RDF.type else self._render_iri(p)) + " "
-                + ", ".join(self._render_object(o)
-                            for o in sorted(by_pred[p], key=self._object_sort_key))
-                for p in sorted(by_pred, key=_predicate_sort_key)]
+        preds = sorted(by_pred, key=_sort_key)
+        if RDF.type in by_pred:
+            preds.remove(RDF.type)
+            preds.insert(0, RDF.type)
+        heads, render = self.heads, self._render_object
+        lines = []
+        for p in preds:
+            head = heads.get(p._key)
+            if head is None:
+                head = heads[p._key] = self._render_iri(p) + " "
+            objs = by_pred[p]
+            if len(objs) == 1:
+                lines.append(head + render(objs[0]))
+            else:
+                lines.append(head + ", ".join(
+                    map(render, sorted(objs, key=self._object_sort_key))))
+        return lines
 
     def _render_object(self, o: Term) -> str:
+        text = self.texts.get(o._key)
+        if text is not None:
+            return text
         if isinstance(o, Iri):
             return self._render_iri(o)
         if isinstance(o, Literal):
-            return self._render_literal(o)
-        if o in self.labels:
-            return "_:" + self.labels[o]
+            text = self.texts[o._key] = self._render_literal(o)
+            return text
+        # an inline blank node: named once, so written once
         parts = self._predicate_objects(o)
         return "[ " + " ; ".join(parts) + " ]" if parts else "[]"
 
     def _render_iri(self, iri: Iri) -> str:
-        text = self.iri_texts.get(iri.value)
+        text = self.texts.get(iri._key)
         if text is None:
             text, label = _iri_text(iri.value, self.ns_by_length)
             if label is not None:
                 self.used_prefixes.add(label)
-            self.iri_texts[iri.value] = text
+            self.texts[iri._key] = text
         return text
 
     def _render_literal(self, lit: Literal) -> str:

@@ -5,6 +5,7 @@ import logging
 import random
 import re
 import sys
+import time
 
 import pytest
 from hypothesis import given
@@ -764,6 +765,51 @@ def test_serialize_cyclic_bnodes_round_trip():
     reparsed = parse_turtle(text)
     assert len(reparsed) == 3
     assert serialize_turtle(reparsed) == text
+
+
+def test_serialize_keys_of_nodes_reaching_a_cycle_do_not_depend_on_labels():
+    # the cycle a -> b -> c -> a, entered from two roots at a and at b: a
+    # key kept for a node that reaches the cycle would carry the ~cycle~
+    # marker from where its first caller stood
+    texts = set()
+    for labels in itertools.permutations(["n0", "n1", "n2", "n3", "n4"]):
+        a, b, c, r1, r2 = map(BlankNode, labels)
+        texts.add(serialize_turtle(Graph([
+            Triple(a, EX.p, b), Triple(b, EX.p, c), Triple(c, EX.p, a),
+            Triple(r1, EX.p, a), Triple(r2, EX.p, b), Triple(c, EX.q, Literal("x")),
+        ], prefixes={"ex": EX.base})))
+    assert len(texts) == 1
+
+
+def test_serialize_diamond_chain_builds_each_key_once():
+    # each n(i+1) is shared by a(i) and b(i): without memoized keys a
+    # node's key is rebuilt once per path to it, which doubles per level
+    depth = 14
+    n = [BlankNode(f"n{i}") for i in range(depth + 1)]
+    triples = [Triple(EX.s, EX.p, n[0]), Triple(n[depth], EX.q, Literal("end"))]
+    for i in range(depth):
+        a, b = BlankNode(f"a{i}"), BlankNode(f"b{i}")
+        triples += [Triple(n[i], EX.l, a), Triple(n[i], EX.r, b),
+                    Triple(a, EX.p, n[i + 1]), Triple(b, EX.p, n[i + 1])]
+    g = Graph(triples, prefixes={"ex": EX.base})
+    start = time.perf_counter()
+    text = serialize_turtle(g)
+    assert time.perf_counter() - start < 0.5
+    assert serialize_turtle(parse_turtle(text)) == text
+
+
+def test_serialize_long_inline_chain_round_trips():
+    # 150 nested [ ] stay below the parser's nesting limit; labels follow
+    # the order in which the parser names them
+    b = [BlankNode(f"b{i:03d}") for i in range(150)]
+    g = Graph([Triple(EX.s, EX.p, b[0])]
+              + [Triple(b[i], EX.p, b[i + 1]) for i in range(len(b) - 1)],
+              prefixes={"ex": EX.base})
+    start = time.perf_counter()
+    text = serialize_turtle(g)
+    assert time.perf_counter() - start < 0.1
+    assert text.count("[") == 150
+    assert parse_turtle(text) == g
 
 
 def test_serialize_orders_labelled_and_inline_bnodes_by_label():

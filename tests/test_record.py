@@ -185,11 +185,13 @@ def test_import_loads_no_dataclasses_inspect_or_logging():
 
 
 def test_cli_import_loads_no_hashlib_or_statistics():
-    # only --run-log and hash-manifest hash, and only bench takes a median
+    # only --run-log and hash-manifest hash, only bench takes a median, and
+    # only --run-log writes a timestamp
     src = str(Path(govshapes.__file__).resolve().parents[1])
     code = ("import sys; before = set(sys.modules); sys.path.insert(0, sys.argv[1]); "
             "import govshapes.cli; "
-            "print(sorted({'hashlib', 'statistics'} & (set(sys.modules) - before)))")
+            "print(sorted({'hashlib', 'statistics', 'datetime'}"
+            " & (set(sys.modules) - before)))")
     out = subprocess.run([sys.executable, "-I", "-c", code, src], capture_output=True,
                          text=True, check=True).stdout
     assert out == "[]\n"

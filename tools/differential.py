@@ -94,7 +94,9 @@ BLOCK_PIECES = (
 
 # Turtle documents whose blank nodes take each path of the serializer: a
 # shared node, a two-node cycle, [ ] nested three deep, root nodes tied on
-# content, and two graphs whose labelled and inline nodes tie.
+# content, two graphs whose labelled and inline nodes tie, a three-node
+# cycle entered from two roots, and two shared diamonds below an inline
+# node: the last two sit on each side of the memoized content keys.
 BNODE_DOCUMENTS = tuple("@prefix ex: <http://example.org/okb#> .\n" + text for text in (
     "ex:d1 a ex:Decision ; ex:hasExplanation _:e .\n"
     "ex:d2 a ex:Decision ; ex:hasExplanation _:e .\n_:e ex:text \"why\" .\n",
@@ -106,6 +108,10 @@ BNODE_DOCUMENTS = tuple("@prefix ex: <http://example.org/okb#> .\n" + text for t
     "ex:B ex:B _:x .\n_:x ex:A ex:A .\n",
     "ex:s ex:r _:x, _:y .\nex:t ex:r _:x, _:y .\n_:x ex:q ex:o . _:y ex:q ex:o .\n"
     "_:m ex:p _:x . _:n ex:p _:y .\nex:u ex:v [ ex:p _:x ], [ ex:p _:y ] .\n",
+    "_:r1 ex:p _:a .\n_:r2 ex:p _:b .\n_:a ex:p _:b .\n_:b ex:p _:c .\n"
+    "_:c ex:p _:a ; ex:q \"x\" .\n",
+    "ex:s ex:p [ ex:l _:a ; ex:r _:b ] .\n_:a ex:p _:n .\n_:b ex:p _:n .\n"
+    "_:n ex:l _:c ; ex:r _:d .\n_:c ex:p _:m .\n_:d ex:p _:m .\n_:m ex:q 1 .\n",
 ))
 
 
