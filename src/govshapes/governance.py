@@ -20,7 +20,8 @@ from .errors import (ConflictingShapeBodiesError, SchemaError, UnknownBlockError
                      UnknownProfileError)
 from .ir import KnowledgeBlock, merge_severity, parse_ir, compile_block
 from .rdf import STANDARD_PREFIXES, Graph, union
-from .shacl import NodeShape, ValidationReport, Violation, shape_violations, validate
+from .shacl import (NodeShape, ValidationReport, Violation, _in_report_order,
+                    shape_violations, validate)
 from .sparql import EvalDiagnostic
 
 
@@ -203,15 +204,12 @@ class Registry:
         diagnostics, from one evaluation per case of each distinct shape
         of all the profiles.
 
-        A profile's shapes are sorted by IRI and ``validate`` sorts by
-        shape IRI first, so concatenating its shapes' violations in order
-        equals validating the profile on its own. Shapes are keyed by
-        value, so an IRI two profiles give two bodies or severities is
-        evaluated once per body.
+        Shapes are keyed by value, so an IRI two profiles give two bodies
+        or severities is evaluated once per body.
         """
         names = list(dict.fromkeys(profile_names))
         distinct: dict[NodeShape, int] = {}
-        # profile -> the index in ``distinct`` of each of its shapes, in order
+        # profile -> the index in ``distinct`` of each of its shapes
         positions = {name: [distinct.setdefault(shape, len(distinct))
                             for shape in self.composed(name).shapes]
                      for name in names}
@@ -222,7 +220,8 @@ class Registry:
             results = [shape_violations(shape, graph, found) for shape in distinct]
             diagnostics.extend((case_id, d) for d in found)
             for name in names:
-                table[name].append(tuple(v for k in positions[name] for v in results[k]))
+                table[name].append(tuple(_in_report_order(
+                    v for k in positions[name] for v in results[k])))
         return table, diagnostics
 
     def check_refinement(self, p1: str, p2: str,

@@ -28,19 +28,14 @@ from ._record import Record
 from .errors import DuplicateIdError, SchemaError, UnknownPrefixError
 from .rdf import (_IRIREF_RE, _SCHEME_RE, EX, PROV, RDF, RDFS, STANDARD_PREFIXES,
                   Graph, Iri, Triple, _iri_text, union)
-from .shacl import (Constraint, Datatype, MinCount, NodeShape,
+from .shacl import (Datatype, MinCount, NodeShape,
                     QualifiedMinCountClass, Severity, SparqlConstraint,
                     _constraint_sort_key, emit_shapes_graph)
-from .sparql import SparqlQuery, TriplePattern, Var, parse_sparql
+from .sparql import TriplePattern, Var, parse_sparql
 
 _ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _THRESHOLD_PLACEHOLDER = "{{threshold}}"
 
-_FIELDS = {
-    "obligation_id", "target_class", "constraint_type", "relation",
-    "datatype", "value_class", "min_count", "sparql_text", "threshold_ref",
-    "severity", "message",
-}
 _STRUCTURAL_ONLY = {"relation", "datatype", "value_class", "min_count"}
 _SPARQL_ONLY = {"sparql_text", "threshold_ref"}
 
@@ -53,7 +48,7 @@ _LOADER = None
 
 
 def merge_severity(a: Severity, b: Severity) -> Severity:
-    """The stricter of two severities (Violation > Warning > Info)."""
+    """The stricter of two severities."""
     return max(a, b)
 
 
@@ -82,6 +77,9 @@ class IrRecord(Record):
         # syntax and scope errors propagate
         query = None if self.sparql_text is None else parse_sparql(self.sparql_text)
         object.__setattr__(self, "query", query)
+
+
+_FIELDS = frozenset(IrRecord._fields)
 
 
 def _resolve_name(value: str, where: str) -> Iri:
@@ -308,10 +306,12 @@ def _build_record(item: dict, where: str) -> IrRecord:
     severity = Severity.VIOLATION
     if "severity" in item:
         name = _need_str(item, "severity", where)
-        if name not in ("Violation", "Warning", "Info"):
-            raise SchemaError(f"{where}: severity must be Violation, "
-                              f"Warning or Info, got {name!r}")
-        severity = Severity.from_name(name)
+        try:
+            severity = Severity(name)
+        except ValueError:
+            *stricter, last = reversed([sev.value for sev in Severity])
+            raise SchemaError(f"{where}: severity must be {', '.join(stricter)} "
+                              f"or {last}, got {name!r}") from None
 
     wrong_family = (_SPARQL_ONLY if constraint_type == "structural"
                     else _STRUCTURAL_ONLY)
@@ -375,33 +375,6 @@ def empty_block(name: str = "empty") -> KnowledgeBlock:
                           (), frozenset(), frozenset())
 
 
-def _record_shape(record: IrRecord) -> NodeShape:
-    iri = EX.term(record.obligation_id + "Shape")
-    constraints: list[Constraint] = []
-    if record.constraint_type == "structural":
-        constraints.append(MinCount(record.relation, record.min_count))
-        if record.datatype is not None:
-            constraints.append(Datatype(record.relation, record.datatype))
-        if record.value_class is not None:
-            constraints.append(QualifiedMinCountClass(
-                record.relation, record.value_class, record.min_count))
-    else:
-        constraints.append(SparqlConstraint(record.sparql_text, record.query))
-    constraints.sort(key=_constraint_sort_key)
-    return NodeShape(iri, record.target_class, tuple(constraints),
-                     record.severity, record.message)
-
-
-def _query_predicates(query: SparqlQuery) -> list[tuple[bool, Iri]]:
-    """Pattern predicates; the flag marks patterns anchored on $this."""
-    out = []
-    for clause in query.clauses:
-        if isinstance(clause, TriplePattern) and isinstance(clause.predicate, Iri):
-            anchored = clause.subject == Var("this")
-            out.append((anchored, clause.predicate))
-    return out
-
-
 def compile_block(records: list[IrRecord], block_name: str) -> KnowledgeBlock:
     """Compile records into a block; one shape per record.
 
@@ -410,24 +383,36 @@ def compile_block(records: list[IrRecord], block_name: str) -> KnowledgeBlock:
     required relation (for query constraints, with each predicate the
     query reads off the focus node).
     """
-    shapes = [_record_shape(r) for r in
-              sorted(records, key=lambda r: r.obligation_id)]
-
+    shapes: list[NodeShape] = []
     classes: set[Iri] = set()
     predicates: set[Iri] = set()
     evidence: set[tuple[Iri, Iri]] = set()
-    for record in records:
-        classes.add(record.target_class)
+    for record in sorted(records, key=lambda r: r.obligation_id):
+        target = record.target_class
+        classes.add(target)
         if record.constraint_type == "structural":
-            predicates.add(record.relation)
-            evidence.add((record.target_class, record.relation))
+            relation = record.relation
+            constraints = [MinCount(relation, record.min_count)]
+            if record.datatype is not None:
+                constraints.append(Datatype(relation, record.datatype))
             if record.value_class is not None:
+                constraints.append(QualifiedMinCountClass(
+                    relation, record.value_class, record.min_count))
                 classes.add(record.value_class)
+            predicates.add(relation)
+            evidence.add((target, relation))
         else:
-            for anchored, pred in _query_predicates(record.query):
-                predicates.add(pred)
-                if anchored:
-                    evidence.add((record.target_class, pred))
+            constraints = [SparqlConstraint(record.sparql_text, record.query)]
+            # the predicates of the query's patterns; those of patterns
+            # anchored on $this are read off the focus node
+            for clause in record.query.clauses:
+                if isinstance(clause, TriplePattern) and isinstance(clause.predicate, Iri):
+                    predicates.add(clause.predicate)
+                    if clause.subject == Var("this"):
+                        evidence.add((target, clause.predicate))
+        constraints.sort(key=_constraint_sort_key)
+        shapes.append(NodeShape(EX.term(record.obligation_id + "Shape"), target,
+                                tuple(constraints), record.severity, record.message))
     prov_links = {p for p in predicates if p.value.startswith(PROV.base)}
 
     concepts = Graph(prefixes=dict(STANDARD_PREFIXES))

@@ -35,11 +35,8 @@ def qname(iri: Iri) -> str:
     return f"<{iri.value}>"
 
 
-_SEVERITY_RANKS = {"Info": 0, "Warning": 1, "Violation": 2}
-
-
 class Severity(enum.Enum):
-    """Result severity, ordered Info < Warning < Violation."""
+    """Result severity, ordered as declared: Info < Warning < Violation."""
 
     INFO = "Info"
     WARNING = "Warning"
@@ -65,6 +62,9 @@ class Severity(enum.Enum):
 
     def __lt__(self, other: "Severity") -> bool:
         return _SEVERITY_RANKS[self.value] < _SEVERITY_RANKS[other.value]
+
+
+_SEVERITY_RANKS = {sev.value: rank for rank, sev in enumerate(Severity)}
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +172,12 @@ def _violation_sort_key(v: Violation) -> tuple:
             term_sort_key(v.path) if v.path is not None else (),
             v.message,
             term_sort_key(v.value) if v.value is not None else ())
+
+
+def _in_report_order(violations) -> list[Violation]:
+    """Violations sorted by (shape, focus, path, message, value), the
+    order of every report."""
+    return sorted(violations, key=_violation_sort_key)
 
 
 class ValidationReport(Record, uncompared=("elapsed_ms", "diagnostics")):
@@ -362,10 +368,11 @@ def _load_sparql(graph: Graph, node: Term, label: str) -> SparqlConstraint:
 def emit_shapes_graph(shapes: list[NodeShape]) -> Graph:
     """Inverse of load_shapes: render shapes as a graph.
 
-    Structural constraints sharing a path and message collapse into one
-    property node, the grouping the loader splits apart, so that
-    emit(load(emit(x))) is stable. The default severity is left implicit
-    rather than asserted.
+    Nodes follow the order of the shape's constraints, which both
+    producers sort. Structural constraints sharing a path and message
+    collapse into one property node, the grouping the loader splits
+    apart, so that emit(load(emit(x))) is stable. The default severity is
+    left implicit rather than asserted.
     """
     g = Graph(prefixes=dict(STANDARD_PREFIXES))
     for i, shape in enumerate(shapes):
@@ -375,41 +382,35 @@ def emit_shapes_graph(shapes: list[NodeShape]) -> Graph:
             g.add(Triple(shape.iri, SH.message, Literal(shape.message)))
         if shape.severity is not Severity.VIOLATION:
             g.add(Triple(shape.iri, SH.severity, shape.severity.iri))
-        groups: dict[tuple, list[Constraint]] = {}
-        queries: list[SparqlConstraint] = []
-        for c in shape.constraints:
+        # (path, message) -> the property node of the constraints sharing them
+        nodes: dict[tuple, BlankNode] = {}
+        for j, c in enumerate(shape.constraints):
             if isinstance(c, SparqlConstraint):
-                queries.append(c)
+                node = BlankNode(f"s{i:03d}q{j:03d}")
+                g.add(Triple(shape.iri, SH.sparql, node))
+                g.add(Triple(node, RDF.type, SH.SPARQLConstraint))
+                g.add(Triple(node, SH.select, Literal(c.select)))
+            elif (c.path.value, c.message) in nodes:
+                node = nodes[c.path.value, c.message]
             else:
-                groups.setdefault((c.path.value, c.message), []).append(c)
-        for j, key in enumerate(sorted(groups, key=lambda k: (k[0], k[1] or ""))):
-            node = BlankNode(f"s{i:03d}p{j:03d}")
-            g.add(Triple(shape.iri, SH.property, node))
-            members = groups[key]
-            g.add(Triple(node, SH.path, members[0].path))
-            if members[0].message is not None:
-                g.add(Triple(node, SH.message, Literal(members[0].message)))
-            for c in members:
-                if type(c) in _FACET_OF:
-                    facet, field = _FACET_OF[type(c)]
-                    value = getattr(c, field)
-                    g.add(Triple(node, facet, Literal(str(value), XSD.integer)
-                                 if field == "count" else value))
-                elif isinstance(c, NodeKindIri):
-                    g.add(Triple(node, SH.nodeKind, SH.IRI))
-                elif isinstance(c, QualifiedMinCountClass):
-                    qvs = BlankNode(f"s{i:03d}p{j:03d}q")
-                    g.add(Triple(node, SH.qualifiedValueShape, qvs))
-                    g.add(Triple(qvs, _SH_CLASS, c.cls))
-                    g.add(Triple(node, SH.qualifiedMinCount,
-                                 Literal(str(c.count), XSD.integer)))
-        for j, c in enumerate(sorted(queries, key=lambda q: q.select)):
-            node = BlankNode(f"s{i:03d}q{j:03d}")
-            g.add(Triple(shape.iri, SH.sparql, node))
-            g.add(Triple(node, RDF.type, SH.SPARQLConstraint))
-            g.add(Triple(node, SH.select, Literal(c.select)))
+                node = nodes[c.path.value, c.message] = BlankNode(f"s{i:03d}p{j:03d}")
+                g.add(Triple(shape.iri, SH.property, node))
+                g.add(Triple(node, SH.path, c.path))
             if c.message is not None:
                 g.add(Triple(node, SH.message, Literal(c.message)))
+            if type(c) in _FACET_OF:
+                facet, field = _FACET_OF[type(c)]
+                value = getattr(c, field)
+                g.add(Triple(node, facet, Literal(str(value), XSD.integer)
+                             if field == "count" else value))
+            elif isinstance(c, NodeKindIri):
+                g.add(Triple(node, SH.nodeKind, SH.IRI))
+            elif isinstance(c, QualifiedMinCountClass):
+                qvs = BlankNode(f"{node.label}q")
+                g.add(Triple(node, SH.qualifiedValueShape, qvs))
+                g.add(Triple(qvs, _SH_CLASS, c.cls))
+                g.add(Triple(node, SH.qualifiedMinCount,
+                             Literal(str(c.count), XSD.integer)))
     return g
 
 
@@ -465,20 +466,12 @@ def _check(constraint: Constraint, shape: NodeShape, graph: Graph, focus: Term,
             for node, path, value in found]
 
 
-def _unsorted_violations(shape: NodeShape, graph: Graph,
-                         diagnostics: list[EvalDiagnostic]):
-    """One shape's violations, focus node by focus node; the callers sort."""
-    for focus in focus_nodes(graph, shape):
-        for constraint in shape.constraints:
-            yield from _check(constraint, shape, graph, focus, diagnostics)
-
-
 def shape_violations(shape: NodeShape, graph: Graph,
                      diagnostics: list[EvalDiagnostic]) -> list[Violation]:
-    """One shape's violations in ``validate``'s order; each solution a
-    type error eliminated is appended to ``diagnostics``."""
-    return sorted(_unsorted_violations(shape, graph, diagnostics),
-                  key=_violation_sort_key)
+    """One shape's violations, focus node by focus node, unsorted; each
+    solution a type error eliminated is appended to ``diagnostics``."""
+    return [v for focus in focus_nodes(graph, shape) for constraint in shape.constraints
+            for v in _check(constraint, shape, graph, focus, diagnostics)]
 
 
 def validate(shapes: list[NodeShape], graph: Graph) -> ValidationReport:
@@ -489,11 +482,9 @@ def validate(shapes: list[NodeShape], graph: Graph) -> ValidationReport:
     infos do not block it, violations do.
     """
     start = time.perf_counter()
-    violations: list[Violation] = []
     diagnostics: list[EvalDiagnostic] = []
-    for shape in shapes:
-        violations.extend(_unsorted_violations(shape, graph, diagnostics))
-    violations.sort(key=_violation_sort_key)
+    violations = _in_report_order(v for shape in shapes
+                                  for v in shape_violations(shape, graph, diagnostics))
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     conforms = not any(v.severity is Severity.VIOLATION for v in violations)
     return ValidationReport(conforms, tuple(violations), elapsed_ms, tuple(diagnostics))
@@ -551,5 +542,5 @@ def read_report(graph: Graph) -> ValidationReport:
         violations.append(Violation(
             source, focus, message, severity,
             None if path is None else _as_iri(path, "sh:resultPath"), value))
-    violations.sort(key=_violation_sort_key)
-    return ValidationReport(conforms_term.lexical == "true", tuple(violations))
+    return ValidationReport(conforms_term.lexical == "true",
+                            tuple(_in_report_order(violations)))

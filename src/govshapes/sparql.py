@@ -353,15 +353,12 @@ class _QueryParser(_Parser):
 
 
 def _expr_vars(expr: Expression) -> set[str]:
+    """The variables ``expr`` reads, found through the fields of each node
+    that hold an operand."""
     if isinstance(expr, VarRef):
         return {expr.name}
-    if isinstance(expr, (Arith, Compare)):
-        return _expr_vars(expr.left) | _expr_vars(expr.right)
-    if isinstance(expr, (Neg, AbsCall)):
-        return _expr_vars(expr.arg)
-    if isinstance(expr, IfCall):
-        return _expr_vars(expr.cond) | _expr_vars(expr.then) | _expr_vars(expr.els)
-    return set()
+    return set().union(*(_expr_vars(value) for value in expr.__dict__.values()
+                         if isinstance(value, Expression)))
 
 
 def _check_variable_scope(query: SparqlQuery) -> None:

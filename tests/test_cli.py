@@ -537,6 +537,15 @@ def test_config_errors_exit_two(tmp_path, capsys, settings, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_config_must_hold_a_json_object(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(["blocks_dir"]), "utf-8")
+    case = write_case(tmp_path, "conform")
+    assert main(["validate", str(case), "--profile", "Fairness",
+                 "--config", str(config)]) == 2
+    assert capsys.readouterr().err == "error: config file must hold a JSON object\n"
+
+
 def test_config_null_value_acts_like_an_absent_key(tmp_path, monkeypatch, capsys):
     artifacts = tmp_path / "artifacts"
     artifacts.mkdir()

@@ -296,6 +296,39 @@ def test_refinement_is_transitive_on_the_corpus(s1, s2, s3):
         assert registry.check_refinement("P1", "P3", CORPUS).holds
 
 
+def thinned(graph, data):
+    """``graph`` with up to six of its triples dropped, as ``data`` draws."""
+    triples = list(graph)
+    dropped = data.draw(st.sets(st.integers(0, len(triples) - 1), max_size=6))
+    return Graph((t for i, t in enumerate(triples) if i not in dropped),
+                 prefixes=graph.prefixes)
+
+
+@settings(max_examples=25)
+@given(s1=block_subsets.filter(bool), s2=block_subsets.filter(bool),
+       widen=st.booleans(), data=st.data())
+def test_static_oracle_predicts_identities_and_refinement(s1, s2, widen, data):
+    # The static argument: composition unions shapes by IRI, their bodies
+    # agree and only the severity merges, and a violation's identity leaves
+    # the severity out. So a profile detects the union of what its blocks
+    # detect, and a profile holding every shape IRI of another refines it
+    # on every corpus, whatever the validator does.
+    if widen:  # so that P1 often holds every shape IRI of P2
+        s1 = list(dict.fromkeys(s1 + s2))
+    cases = [(case_id, thinned(graph, data)) for case_id, graph in CORPUS]
+    registry = synthetic_registry([], {"P1": tuple(s1), "P2": tuple(s2)})
+    for name, names in (("P1", s1), ("P2", s2)):
+        for case_id, graph in cases:
+            found = registry.validate_profile(graph, name).report.violations
+            by_block = [identity_sets(BLOCKS[b], [(case_id, graph)])[case_id]
+                        for b in names]
+            assert {v.identity for v in found} == set().union(*by_block)
+    iris = [{shape.iri for shape in compose(blocks_named(names)).shapes}
+            for names in (s1, s2)]
+    if iris[1] <= iris[0]:
+        assert registry.check_refinement("P1", "P2", cases).holds
+
+
 # ---------------------------------------------------------------------------
 # One validation pass per case over the distinct shapes
 # ---------------------------------------------------------------------------

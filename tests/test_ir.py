@@ -566,6 +566,27 @@ def test_compile_evidence_requirements_cover_query_reads():
     })
 
 
+def test_compile_family_merge_on_reads_that_do_not_overlap():
+    # In the bundled blocks every predicate a query reads off the focus node
+    # is also some structural record's relation; here none is.
+    structural = IrRecord("S1", EX.Activity, "structural", "Needs a model.",
+                          relation=PROV.used, value_class=EX.ModelArtifact)
+    query = IrRecord("Q1", EX.Decision, "sparql", "Score too high.",
+                     sparql_text="SELECT $this WHERE { $this ex:cites ?d . "
+                                 "?d ex:score ?s . FILTER(?s > 1) }")
+    block = compile_block([query, structural], "b")
+    classes = {t.subject for t in block.concepts.match(None, RDF.type,
+                                                       RDFS.term("Class"))}
+    predicates = {t.subject for t in block.concepts.match(None, RDF.type,
+                                                          RDF.Property)}
+    assert classes == {EX.Activity, EX.ModelArtifact, EX.Decision}
+    assert predicates == {PROV.used, EX.cites, EX.score}
+    # ex:score is read off ?d, not off the focus node: no requirement
+    assert block.evidence_requirements == frozenset({(EX.Activity, PROV.used),
+                                                     (EX.Decision, EX.cites)})
+    assert block.provenance_links == frozenset({PROV.used})
+
+
 def test_compile_collects_provenance_predicates_only():
     acct = compile_block(parse_ir(block_source("accountability")), "acct")
     assert acct.provenance_links == frozenset({PROV.used,

@@ -479,6 +479,23 @@ def test_emit_is_stable_under_reload():
     assert serialize_turtle(g2) == text1
 
 
+def test_emit_load_round_trip_of_node_messages_and_node_kind():
+    text = "SELECT $this WHERE { $this ex:a ?a . FILTER(?a > 1) }"
+    other = "SELECT $this WHERE { $this ex:b ?b . FILTER(?b > 1) }"
+    # in the order both producers sort constraints: structural by path and
+    # class name, then queries by their text
+    shape = NodeShape(EX.S, EX.T, (
+        MinCount(EX.p, 1, "Needs an IRI."),
+        NodeKindIri(EX.p, "Needs an IRI."),
+        Datatype(EX.q, XSD.integer),
+        SparqlConstraint(text, parse_sparql(text), "Too large."),
+        SparqlConstraint(other, parse_sparql(other)),
+    ))
+    g = emit_shapes_graph([shape])
+    assert g.match(None, SH.nodeKind, SH.IRI)
+    assert load_shapes(g) == [shape]
+
+
 def test_emit_groups_same_path_constraints_into_one_property_node():
     shapes = [NodeShape(EX.S, EX.T,
                         (MinCount(EX.p, 1), Datatype(EX.p, XSD.integer)))]
@@ -544,6 +561,13 @@ def test_oracle_agrees_on_reference_query_inside_validation():
     assert len(report.violations) == len(rows) == 1
 
 
+def test_read_report_rejects_a_non_boolean_conforms():
+    text = ("@prefix sh: <http://www.w3.org/ns/shacl#> .\n"
+            "_:r a sh:ValidationReport ; sh:conforms \"yes\" .")
+    with pytest.raises(MalformedShapeError) as info:
+        read_report(parse_turtle(text))
+    assert str(info.value) == "sh:conforms must be a boolean literal"
+
 # ---------------------------------------------------------------------------
 # Reader messages and the order in which they are raised
 # ---------------------------------------------------------------------------
@@ -576,6 +600,29 @@ def test_query_node_type_is_checked_before_its_facets():
         " sh:sparql [ sh:select \"SELECT $this WHERE { $this ex:p ?v }\" ;"
         " sh:prefixes ex:ns ] .") == (
         MalformedShapeError, "ex:S: sh:sparql node must be a sh:SPARQLConstraint")
+
+
+def test_target_class_must_be_an_iri():
+    assert load_error(
+        "ex:S a sh:NodeShape ; sh:targetClass \"x\" ;"
+        " sh:property [ sh:path ex:p ; sh:minCount 1 ] .") == (
+        MalformedShapeError, "ex:S sh:targetClass must be an IRI")
+
+
+def test_property_node_with_a_path_alone_is_rejected():
+    assert load_error(
+        "ex:S a sh:NodeShape ; sh:targetClass ex:T ;"
+        " sh:property [ sh:path ex:p ], [ sh:path ex:q ; sh:minCount 1 ] .") == (
+        MalformedShapeError, "ex:S: property node declares no constraint")
+
+
+def test_query_may_use_a_prefix_the_shapes_graph_binds():
+    (shape,) = load_shapes(shape_graph(
+        "@prefix my: <http://my.test/> .\n"
+        "ex:S a sh:NodeShape ; sh:targetClass ex:T ; sh:sparql [ a sh:SPARQLConstraint ;"
+        " sh:select \"SELECT $this WHERE { $this my:p ?v }\" ] ."))
+    (constraint,) = shape.constraints
+    assert constraint.query.clauses[0].predicate == Iri("http://my.test/p")
 
 
 _PROPERTY = "sh:path ex:p ; sh:minCount 1"

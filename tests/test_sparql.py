@@ -18,6 +18,7 @@ from govshapes.sparql import (
     SparqlQuery,
     TriplePattern,
     Var,
+    VarRef,
     eval_expression,
     evaluate,
     parse_sparql,
@@ -273,6 +274,23 @@ def test_scope_errors(text, fragment):
         q(text)
 
 
+@pytest.mark.parametrize("expression", ["ABS(?u)", "IF(true, 1, ?u)", "-?u"])
+def test_unbound_variable_inside_an_operand_is_rejected(expression):
+    with pytest.raises(UnboundVariableError) as info:
+        q(f"SELECT $this WHERE {{ BIND({expression} AS ?v) }}")
+    assert str(info.value) == "BIND at clause 0 uses unbound variable ?u"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("SELECT $this WHERE $this ex:p ?x }", "expected '{', found '$this'"),
+    ("SELECT $this WHERE { BIND(1 AS v) }", "expected variable after AS, found 'v'"),
+])
+def test_syntax_error_messages(text, message):
+    with pytest.raises(SparqlSyntaxError) as info:
+        q(text)
+    assert str(info.value) == message
+
+
 _QUERY_PIECES = st.sampled_from(
     list(' {}().;,<>"\\?$:#+-eE07²') + [
         '"""', "\\u00e9", "ex:", "SELECT $this WHERE {", "FILTER(", "BIND("])
@@ -327,6 +345,16 @@ def test_repeated_variable_must_unify():
     rows = evaluate(q("SELECT $this WHERE { $this ex:p $this }"), g, EX.d)
     assert rows == [{"this": EX.d}]
     assert evaluate(q("SELECT $this WHERE { $this ex:p $this }"), g, EX.e) == []
+
+
+def test_variable_twice_in_one_pattern_matches_self_loops_only():
+    g = graph_of(
+        Triple(EX.a, EX.q, EX.a),
+        Triple(EX.b, EX.q, EX.c),
+        Triple(EX.c, EX.q, EX.c),
+    )
+    rows = evaluate(q("SELECT $this ?x WHERE { ?x ex:q ?x }"), g, EX.d)
+    assert rows == [{"this": EX.d, "x": EX.a}, {"this": EX.d, "x": EX.c}]
 
 
 def test_solutions_follow_canonical_match_order():
@@ -493,6 +521,18 @@ def test_blank_nodes_do_not_compare():
                       "FILTER(?x = ?y) }"), g, EX.d, diags)
     assert rows == []
     assert len(diags) == 1
+
+
+def test_booleans_do_not_order():
+    diags = []
+    rows = evaluate(q("SELECT $this WHERE { FILTER(true < false) }"), Graph(), EX.d, diags)
+    assert rows == []
+    assert [d.reason for d in diags] == ["booleans are not ordered"]
+
+
+def test_eval_of_an_unbound_variable_raises():
+    with pytest.raises(UnboundVariableError, match=r"variable \?x is unbound"):
+        eval_expression(VarRef("x"), {})
 
 
 def test_mixed_comparison_is_a_type_error():

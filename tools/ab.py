@@ -8,7 +8,10 @@ Usage::
 Pair ``i`` runs each tree's own ``perfbench/run.py --workload all`` with
 seed ``S0 + i``, one run after the other; even pairs start with the
 parent, odd pairs with the change. Only one benchmark process runs at a
-time.
+time. Each tree's runs write and read bytecode under a fresh cache
+directory of their own (``PYTHONPYCACHEPREFIX``), and an inherited
+``PYTHONDONTWRITEBYTECODE`` is dropped, so both sides run compiled code
+whatever ``__pycache__`` a checkout holds.
 
 For every workload and end-to-end metric that the parent's
 ``BENCHMARK.json`` declares, the script prints the median of each side,
@@ -22,17 +25,27 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 
-def run_tree(tree: Path, seed: int, seconds: float) -> dict:
+def child_env(cache_dir: Path) -> dict[str, str]:
+    """The environment of one tree's runs: bytecode goes to ``cache_dir``
+    and is read from there only, never from the tree's ``__pycache__``."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPYCACHEPREFIX"] = str(cache_dir)
+    return env
+
+
+def run_tree(tree: Path, seed: int, seconds: float, env: dict[str, str]) -> dict:
     """The JSON result line of one ``run.py --workload all`` in ``tree``."""
     command = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", "all",
                "--seed", str(seed), "--seconds", str(seconds)]
-    proc = subprocess.run(command, capture_output=True, text=True, check=True)
+    proc = subprocess.run(command, capture_output=True, text=True, check=True, env=env)
     return json.loads(proc.stdout.splitlines()[-1])
 
 
@@ -81,15 +94,17 @@ def main(argv: list[str] | None = None) -> int:
     benchmark = json.loads((args.parent_tree / "BENCHMARK.json").read_text("utf-8"))
 
     runs: list[tuple[int, dict, dict]] = []
-    for i in range(args.pairs):
-        seed = args.seed + i
-        sides = {}
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for side in order:
-            tree = args.parent_tree if side == "parent" else args.change_tree
-            sides[side] = run_tree(tree, seed, args.seconds)
-            print(f"# pair {i + 1}/{args.pairs} seed {seed}: {side} done", flush=True)
-        runs.append((seed, sides["parent"], sides["change"]))
+    with tempfile.TemporaryDirectory(prefix="ab-pycache-") as caches:
+        envs = {side: child_env(Path(caches) / side) for side in ("parent", "change")}
+        for i in range(args.pairs):
+            seed = args.seed + i
+            sides = {}
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                tree = args.parent_tree if side == "parent" else args.change_tree
+                sides[side] = run_tree(tree, seed, args.seconds, envs[side])
+                print(f"# pair {i + 1}/{args.pairs} seed {seed}: {side} done", flush=True)
+            runs.append((seed, sides["parent"], sides["change"]))
 
     for seed, *results in runs:
         for side, result in zip(("parent", "change"), results):
