@@ -2,9 +2,9 @@
 
 from .errors import (ConflictingShapeBodiesError, DuplicateIdError,
                      GovshapesError, MalformedShapeError, SchemaError,
-                     SparqlSyntaxError, TurtleSyntaxError, TypeMismatchError,
-                     UnboundVariableError, UnknownBlockError, UnknownCaseError,
-                     UnknownPrefixError, UnknownProfileError,
+                     SparqlSyntaxError, TooManySolutionsError, TurtleSyntaxError,
+                     TypeMismatchError, UnboundVariableError, UnknownBlockError,
+                     UnknownCaseError, UnknownPrefixError, UnknownProfileError,
                      UnsupportedConstraintError)
 from .rdf import (EX, PROV, RDF, RDFS, SH, STANDARD_PREFIXES, XSD, BlankNode,
                   Graph, Iri, Literal, Namespace, Term, Triple, parse_turtle,

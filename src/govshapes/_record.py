@@ -9,7 +9,10 @@ optional default, and gets
   - frozen attributes: assigning or deleting one raises AttributeError;
   - ``==`` and ``hash`` over the compared fields, ``==`` only between
     instances of one class;
-  - the dataclass ``repr``, ``Name(field=value, ...)``.
+  - the dataclass ``repr``, ``Name(field=value, ...)``;
+  - pickles that hold the fields alone, so that what a subclass caches
+    beside them (a ``functools.cached_property``, which writes to the
+    instance ``__dict__`` directly) is built again after unpickling.
 
 The methods are shared by every subclass, not generated for it:
 ``__init_subclass__`` only reads the class's own annotations, once. The
@@ -98,6 +101,10 @@ class Record(Frozen):
 
     def __hash__(self) -> int:
         return hash(self._values(self))
+
+    def __getstate__(self) -> dict:
+        fields = self.__dict__
+        return {n: fields[n] for n in self._fields}
 
     def __repr__(self) -> str:
         fields = self.__dict__

@@ -32,6 +32,11 @@ class TypeMismatchError(GovshapesError):
     """
 
 
+class TooManySolutionsError(GovshapesError):
+    """A constraint query built more solutions in one step than the query
+    engine's fixed bound allows; the message names the clause."""
+
+
 class UnsupportedConstraintError(GovshapesError):
     """A shape graph uses a constraint component outside the engine subset."""
 

@@ -65,9 +65,14 @@ class _Value(Frozen):
 
 
 class _Term(_Value):
-    """A term, which keeps its ``term_sort_key`` from when it was built."""
+    """A term, which keeps its ``term_sort_key`` from when it was built,
+    and ``_hashed``, the tuple whose hash is its hash: its fields, a
+    literal's datatype given by its own ``_hashed``. A literal or triple
+    naming a term hashes a tuple of these, so its hash is computed in C,
+    with no Python-level ``__hash__`` call per term, and is the hash of
+    its fields all the same."""
 
-    __slots__ = ("_key",)
+    __slots__ = ("_key", "_hashed")
 
 
 class Iri(_Term):
@@ -76,7 +81,8 @@ class Iri(_Term):
     def __init__(self, value: str):
         _set_iri(self, value)
         _set_key(self, (0, value))
-        _set_hash(self, hash((value,)))
+        _set_hashed(self, (value,))
+        _set_hash(self, hash(self._hashed))
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not Iri:
@@ -92,7 +98,8 @@ class BlankNode(_Term):
     def __init__(self, label: str):
         _set_label(self, label)
         _set_key(self, (2, label))
-        _set_hash(self, hash((label,)))
+        _set_hashed(self, (label,))
+        _set_hash(self, hash(self._hashed))
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not BlankNode:
@@ -113,7 +120,8 @@ class Literal(_Term):
         _set_datatype(self, datatype)
         _set_language(self, language)
         _set_key(self, (1, lexical, datatype.value, language or ""))
-        _set_hash(self, hash((lexical, datatype, language)))
+        _set_hashed(self, (lexical, datatype._hashed, language))
+        _set_hash(self, hash(self._hashed))
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not Literal:
@@ -138,7 +146,7 @@ class Triple(_Value):
         _set_subject(self, subject)
         _set_predicate(self, predicate)
         _set_object(self, object)
-        _set_hash(self, hash((subject, predicate, object)))
+        _set_hash(self, hash((subject._hashed, predicate._hashed, object._hashed)))
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not Triple:
@@ -153,6 +161,7 @@ class Triple(_Value):
 # refuses setattr
 _set_hash = _Value._hash.__set__
 _set_key = _Term._key.__set__
+_set_hashed = _Term._hashed.__set__
 _set_iri = Iri.value.__set__
 _set_label = BlankNode.label.__set__
 _set_lexical = Literal.lexical.__set__
@@ -236,9 +245,25 @@ def in_lexical_space(lit: Literal) -> bool:
 # Graph
 # ---------------------------------------------------------------------------
 
-_Index = dict[Term, list[Triple]]
-_SubjectIndex = dict[Term, dict[Iri, list[Triple]]]
+# A bucket is a list in set order until a read sorts it into a tuple.
+_Bucket = list[Triple] | tuple[Triple, ...]
+_Index = dict[Term, _Bucket]
+_SubjectIndex = dict[Term, dict[Iri, _Bucket]]
 _EMPTY: dict = {}  # the default of a lookup that misses; never written
+_sort_key = attrgetter("_key")  # term_sort_key, without a Python call
+# triple_sort_key on the triples of a bucket, which share the positions left out
+_by_object = attrgetter("object._key")
+_by_subject_object = attrgetter("subject._key", "object._key")
+_by_subject_predicate = attrgetter("subject._key", "predicate._key")
+
+
+def _sorted_bucket(index: dict, key: Term, order) -> tuple[Triple, ...]:
+    """``index[key]`` in canonical order, or ``()``: a bucket read for the
+    first time is sorted by ``order`` into a tuple that replaces it."""
+    bucket = index.get(key, ())
+    if bucket.__class__ is list:
+        bucket = index[key] = tuple(sorted(bucket, key=order) if len(bucket) > 1 else bucket)
+    return bucket
 
 
 class Graph:
@@ -249,14 +274,21 @@ class Graph:
     immutable afterwards; all read paths are safe to share across
     threads.
 
-    The first read after the last ``add`` sorts the triples and builds
-    three hash indexes, subject -> predicate -> triples (the SPO layout of
-    Hexastore), predicate -> triples and object -> triples, each bucket in
-    canonical order; ``add`` drops both. Each is assigned in a single
-    statement, so a concurrent reader sees either none or all of it.
+    The first read after the last ``add`` builds three hash indexes in one
+    pass over the triple set, without sorting it: subject -> predicate ->
+    triples (the SPO layout of Hexastore), predicate -> triples and
+    object -> triples. Each bucket starts as a list in set order. The
+    first read of a bucket sorts it into canonical order, by the positions
+    its triples do not share, and stores the sorted tuple in its place in
+    one assignment, as the indexes are stored. So a concurrent reader
+    finds a bucket unsorted, and sorts it as well, or sorted, never half
+    sorted. Only the buckets that reads touch are sorted. The sorted list
+    of every triple is built only for ``sorted_triples``, ``match`` with
+    no argument and iteration. ``add`` drops the indexes and that list.
 
     ``match`` with a subject reads that subject's predicate map: with the
-    predicate too it is two dictionary lookups and a copy of the bucket.
+    predicate too it is two dictionary lookups and a copy of the bucket;
+    without it, the subject's predicates are sorted on each such read.
     Without a subject it reads the shorter of the predicate and object
     buckets given, keeping the triples that agree with the other.
     """
@@ -303,17 +335,16 @@ class Graph:
         return self._sorted
 
     def _indexes(self) -> tuple[_SubjectIndex, _Index, _Index]:
-        """The subject-predicate, predicate and object indexes."""
-        index = self._index
-        if index is None:
-            by_sp: _SubjectIndex = {}
-            by_p: _Index = {}
-            by_o: _Index = {}
-            for t in self.sorted_triples():
-                by_sp.setdefault(t.subject, {}).setdefault(t.predicate, []).append(t)
-                by_p.setdefault(t.predicate, []).append(t)
-                by_o.setdefault(t.object, []).append(t)
-            index = self._index = (by_sp, by_p, by_o)
+        """The subject-predicate, predicate and object indexes, built from
+        the triple set in one pass, their buckets unsorted."""
+        by_sp: _SubjectIndex = {}
+        by_p: _Index = {}
+        by_o: _Index = {}
+        for t in self._triples:
+            by_sp.setdefault(t.subject, {}).setdefault(t.predicate, []).append(t)
+            by_p.setdefault(t.predicate, []).append(t)
+            by_o.setdefault(t.object, []).append(t)
+        index = self._index = (by_sp, by_p, by_o)
         return index
 
     def match(self, s: Term | None = None, p: Term | None = None,
@@ -324,24 +355,25 @@ class Graph:
         is returned in canonical order so downstream joins stay
         deterministic.
         """
-        by_sp, by_p, by_o = self._indexes()
+        by_sp, by_p, by_o = self._index or self._indexes()
         if s is not None:
             by_pred = by_sp.get(s, _EMPTY)
             if p is not None:
-                found = by_pred.get(p, ())
+                found = _sorted_bucket(by_pred, p, _by_object)
                 return list(found) if o is None else [t for t in found if t.object == o]
-            # the predicates were inserted in canonical order
-            return [t for bucket in by_pred.values() for t in bucket
+            return [t for pred in sorted(by_pred, key=_sort_key)
+                    for t in _sorted_bucket(by_pred, pred, _by_object)
                     if o is None or t.object == o]
         if o is None:
-            return list(self.sorted_triples() if p is None else by_p.get(p, ()))
-        found = by_o.get(o, ())
+            if p is None:
+                return list(self.sorted_triples())
+            return list(_sorted_bucket(by_p, p, _by_subject_object))
         if p is None:
-            return list(found)
-        candidates = by_p.get(p, ())
-        if len(candidates) < len(found):
-            return [t for t in candidates if t.object == o]
-        return [t for t in found if t.predicate == p]
+            return list(_sorted_bucket(by_o, o, _by_subject_predicate))
+        # filter the shorter bucket, and sort only that one
+        if len(by_p.get(p, ())) < len(by_o.get(o, ())):
+            return [t for t in _sorted_bucket(by_p, p, _by_subject_object) if t.object == o]
+        return [t for t in _sorted_bucket(by_o, o, _by_subject_predicate) if t.predicate == p]
 
     def subjects_of_type(self, cls: Iri) -> list[Term]:
         """The distinct instances of ``cls``, in canonical order."""
@@ -829,9 +861,6 @@ def parse_turtle(source: str) -> Graph:
 # ---------------------------------------------------------------------------
 # Canonical serializer
 # ---------------------------------------------------------------------------
-
-_sort_key = attrgetter("_key")  # term_sort_key, without a Python call
-
 
 class _Serializer:
     """The canonical text of one graph.

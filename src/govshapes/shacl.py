@@ -9,19 +9,28 @@ families are supported:
   query       a SELECT constraint whose solutions denote violating
               focus nodes (the restricted fragment in ``sparql``)
 
-Validation walks shapes in IRI order, their target instances in
-canonical term order, and reports results sorted on a stable key, so a
-report is a pure function of (shapes, data). No inference is applied:
-instances must be explicitly typed with the target class.
+Validation walks shapes in IRI order and their target instances in
+canonical term order, and runs each shape's plan on every instance: one
+check per constraint, in the shape's constraint order, with its family
+dispatched and its message resolved when the shape is first validated.
+The plan is kept on the ``NodeShape``, out of ``==``, ``hash``,
+``repr`` and pickles. Diagnostics come shape by shape, focus node by
+focus node and solution by solution; results are reported sorted on a
+stable key, so a report is a pure function of (shapes, data). No
+inference is applied: instances must be explicitly typed with the
+target class.
 """
 
 from __future__ import annotations
 
 import enum
 import time
+from collections.abc import Callable
+from functools import cached_property
 
 from ._record import Record
-from .errors import MalformedShapeError, UnsupportedConstraintError
+from .errors import (MalformedShapeError, TooManySolutionsError,
+                     UnsupportedConstraintError)
 from .rdf import (RDF, SH, STANDARD_PREFIXES, XSD, BlankNode, Graph, Iri,
                   Literal, Term, Triple, in_lexical_space, term_sort_key)
 from .sparql import EvalDiagnostic, SparqlQuery, evaluate, parse_sparql
@@ -150,6 +159,12 @@ class NodeShape(Record):
         if self.message is not None:
             return self.message
         return _default_message(c)
+
+    @cached_property
+    def _plan(self) -> tuple[Check, ...]:
+        """One check per constraint, in order, built on first use and kept
+        beside the fields, out of ``==``, ``hash``, ``repr`` and pickles."""
+        return tuple(_constraint_check(self, c) for c in self.constraints)
 
 
 class Violation(Record):
@@ -427,51 +442,85 @@ def _is_instance(graph: Graph, value: Term, cls: Iri) -> bool:
     return not isinstance(value, Literal) and bool(graph.match(value, RDF.type, cls))
 
 
-def _failures(constraint: Constraint, graph: Graph, focus: Term,
-              triples: list[Triple]) -> list[tuple[Term, Iri, Term | None]]:
-    """(focus, path, value) for each way a structural constraint fails on
-    the focus node's path triples; the value is None where a count fails."""
-    path = constraint.path
-    if isinstance(constraint, MinCount):
-        failed = len(triples) < constraint.count
-    elif isinstance(constraint, MaxCount):
-        failed = len(triples) > constraint.count
-    elif isinstance(constraint, QualifiedMinCountClass):
-        failed = sum(_is_instance(graph, t.object, constraint.cls)
-                     for t in triples) < constraint.count
-    elif isinstance(constraint, Datatype):
-        return [(focus, path, t.object) for t in triples
-                if not (isinstance(t.object, Literal)
-                        and t.object.datatype == constraint.datatype
-                        and t.object.language is None)]
-    elif isinstance(constraint, ClassConstraint):
-        return [(focus, path, t.object) for t in triples
-                if not _is_instance(graph, t.object, constraint.cls)]
-    else:  # NodeKindIri
-        return [(focus, path, t.object) for t in triples if not isinstance(t.object, Iri)]
-    return [(focus, path, None)] if failed else []
+# A check appends a constraint's violations on one focus node to a list:
+# check(graph, focus, diagnostics, out).
+Check = Callable[[Graph, Term, "list[EvalDiagnostic]", "list[Violation]"], None]
 
 
-def _check(constraint: Constraint, shape: NodeShape, graph: Graph, focus: Term,
-           diagnostics: list[EvalDiagnostic]) -> list[Violation]:
-    if isinstance(constraint, SparqlConstraint):
-        found = [(row["this"], None, row.get("value"))
-                 for row in evaluate(constraint.query, graph, focus, diagnostics)]
-    else:
-        found = _failures(constraint, graph, focus, graph.match(focus, constraint.path))
-    if not found:
-        return []
-    message = shape.constraint_message(constraint)
-    return [Violation(shape.iri, node, message, shape.severity, path, value)
-            for node, path, value in found]
+def _constraint_check(shape: NodeShape, c: Constraint) -> Check:
+    """The check of constraint ``c`` of ``shape``, with its family
+    dispatched and its message resolved here, once.
+
+    A query constraint reports each solution of its query. A count
+    constraint reads the focus node's path triples and reports the node
+    once, with no value; any other structural constraint reports each
+    value of the path that fails its test.
+    """
+    iri, severity, message = shape.iri, shape.severity, shape.constraint_message(c)
+    if isinstance(c, SparqlConstraint):
+        query = c.query
+
+        def check_query(graph, focus, diagnostics, out):
+            for row in evaluate(query, graph, focus, diagnostics):
+                out.append(Violation(iri, row["this"], message, severity, None,
+                                     row.get("value")))
+        return check_query
+    path = c.path
+    if isinstance(c, (Datatype, ClassConstraint, NodeKindIri)):
+        if isinstance(c, Datatype):
+            datatype = c.datatype
+
+            def accepts(graph, value):
+                return (isinstance(value, Literal) and value.datatype == datatype
+                        and value.language is None)
+        elif isinstance(c, ClassConstraint):
+            cls = c.cls
+
+            def accepts(graph, value):
+                return _is_instance(graph, value, cls)
+        else:
+            def accepts(graph, value):
+                return isinstance(value, Iri)
+
+        def check_values(graph, focus, diagnostics, out):
+            for t in graph.match(focus, path):
+                if not accepts(graph, t.object):
+                    out.append(Violation(iri, focus, message, severity, path, t.object))
+        return check_values
+    count = c.count
+    if isinstance(c, MinCount):
+        def fails(graph, triples):
+            return len(triples) < count
+    elif isinstance(c, MaxCount):
+        def fails(graph, triples):
+            return len(triples) > count
+    else:  # QualifiedMinCountClass
+        cls = c.cls
+
+        def fails(graph, triples):
+            return sum(_is_instance(graph, t.object, cls) for t in triples) < count
+
+    def check_count(graph, focus, diagnostics, out):
+        if fails(graph, graph.match(focus, path)):
+            out.append(Violation(iri, focus, message, severity, path, None))
+    return check_count
 
 
 def shape_violations(shape: NodeShape, graph: Graph,
                      diagnostics: list[EvalDiagnostic]) -> list[Violation]:
-    """One shape's violations, focus node by focus node, unsorted; each
-    solution a type error eliminated is appended to ``diagnostics``."""
-    return [v for focus in focus_nodes(graph, shape) for constraint in shape.constraints
-            for v in _check(constraint, shape, graph, focus, diagnostics)]
+    """One shape's violations, focus node by focus node and constraint by
+    constraint, unsorted; each solution a type error eliminated is
+    appended to ``diagnostics``. A query that builds too many solutions
+    raises TooManySolutionsError naming the shape."""
+    checks = shape._plan
+    found: list[Violation] = []
+    try:
+        for focus in focus_nodes(graph, shape):
+            for check in checks:
+                check(graph, focus, diagnostics, found)
+    except TooManySolutionsError as exc:
+        raise TooManySolutionsError(f"shape <{shape.iri.value}>: {exc}") from None
+    return found
 
 
 def validate(shapes: list[NodeShape], graph: Graph) -> ValidationReport:

@@ -20,19 +20,35 @@ form cuts. So IRIs are absolute, prefixed names have no final ``.`` in
 their local part, strings are short or long with the Turtle escapes, and
 numerals are written in ASCII digits.
 
-Evaluation uses nested-loop joins over ``Graph.match``. A type error
-inside an expression does not abort the query: the offending solution
-is eliminated and a diagnostic entry records why, mirroring the
-error-elimination behavior validators rely on.
+A query runs through its plan, compiled the first time ``evaluate`` runs
+it and kept on the ``SparqlQuery`` (out of ``==``, ``hash``, ``repr``
+and pickles), after T. Neumann, "Efficiently Compiling Efficient Query
+Plans for Modern Hardware" (VLDB 2011). Compiling numbers the variables
+and gives each clause one step: a triple pattern knows which of its
+positions are bound before it and calls ``Graph.match`` once per
+solution with those; an expression is a tree of closures, its node
+kinds dispatched once; a solution is a list of cells, and each literal
+in it is converted to a number at most once. ``eval_expression``
+compiles the expression it is given the same way.
+
+A type error inside an expression does not abort the query: the
+offending solution is eliminated and a diagnostic entry records why,
+mirroring the error-elimination behavior validators rely on. A triple
+pattern that builds more than ``_MAX_SOLUTIONS`` solutions for one
+focus node (a cross product, say) raises TooManySolutionsError naming
+its clause, so that no query can hold the engine for long.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Callable
+from functools import cached_property
 
 from ._record import Record
-from .errors import SparqlSyntaxError, TypeMismatchError, UnboundVariableError
+from .errors import (SparqlSyntaxError, TooManySolutionsError, TypeMismatchError,
+                     UnboundVariableError)
 from .rdf import (RDF, STANDARD_PREFIXES, XSD, Graph, Iri, Literal, Term, _Parser, _Stop,
                   _token_grammar, in_lexical_space, is_numeric_literal)
 
@@ -125,6 +141,12 @@ class SparqlQuery(Record):
     clauses: tuple[ClauseItem, ...]
     text: str
 
+    @cached_property
+    def _plan(self) -> Callable:
+        """How ``evaluate`` runs this query, compiled on first use and kept
+        beside the fields, out of ``==``, ``hash``, ``repr`` and pickles."""
+        return _compile_query(self)
+
 
 class EvalDiagnostic(Record):
     """Why a solution was eliminated by a type error."""
@@ -165,8 +187,8 @@ _BINARY = (({"=", "!=", "<", ">", "<=", ">="}, Compare, False),
            ({"*", "/"}, Arith, True))
 
 # The deepest an expression may nest; each sign, parenthesis and ABS/IF
-# argument list is one level. A parsed query is hashed, compared and
-# evaluated recursively, so this bound keeps all three within the stack.
+# argument list is one level. A parsed query is hashed, compared, compiled
+# and evaluated recursively, so this bound keeps all four within the stack.
 _MAX_NESTING = 100
 
 
@@ -416,6 +438,89 @@ def _term_value(term: Term) -> float | bool | Term:
     return term
 
 
+# A solution is a list of 2n cells for a query's n variables, numbered in
+# the order the clauses bind them, ``this`` first: cell i holds variable
+# i's term and cell n + i its value as expressions see it. A pattern sets
+# the term and leaves the value _UNREAD, for the first expression that
+# reads it to convert; a BIND sets the value, and the term only where the
+# projection or a later pattern reads it. Each solution owns its list, so
+# both are written in place.
+_UNREAD = object()
+
+# The most solutions one triple pattern may build for one focus node. A
+# pattern that shares no variable with the clauses before it joins as a
+# cross product, and a chain of patterns through a hub node multiplies its
+# degrees, so without a bound a query over a few hundred triples can hold
+# millions of solutions.
+_MAX_SOLUTIONS = 100_000
+
+# an expression as a function of a solution
+Compiled = Callable[[list], "float | bool | Term"]
+
+
+def _reader(term_cell: int, value_cell: int) -> Compiled:
+    """A variable's value in a solution, converted from its term once."""
+    def read(sol: list):
+        value = sol[value_cell]
+        if value is _UNREAD:
+            value = sol[value_cell] = _term_value(sol[term_cell])
+        return value
+    return read
+
+
+def _compile(expr: Expression, reads: dict[str, Compiled]) -> Compiled:
+    """``expr`` as a function of a solution, its node kinds dispatched
+    here once; ``reads`` gives the reader of each variable in scope.
+
+    The functions evaluate operands left to right and raise what
+    ``eval_expression`` documents, at the same points.
+    """
+    if isinstance(expr, (NumConst, BoolConst, TermConst)):
+        value = expr.term if isinstance(expr, TermConst) else expr.value
+        return lambda sol: value
+    if isinstance(expr, VarRef):
+        read = reads.get(expr.name)
+        if read is None:
+            return _raising(UnboundVariableError(f"variable ?{expr.name} is unbound"))
+        return read
+    if isinstance(expr, (Neg, AbsCall)):
+        arg = _compile(expr.arg, reads)
+        if isinstance(expr, Neg):
+            return lambda sol: -_as_number(arg(sol))
+        return lambda sol: abs(_as_number(arg(sol)))
+    if isinstance(expr, Arith):
+        left, right = _compile(expr.left, reads), _compile(expr.right, reads)
+        if expr.op == "/":
+            def divide(sol: list) -> float:
+                dividend, divisor = _as_number(left(sol)), _as_number(right(sol))
+                if divisor == 0.0:
+                    raise TypeMismatchError("division by zero")
+                return dividend / divisor
+            return divide
+        apply = _ARITHMETIC[expr.op]
+        return lambda sol: apply(_as_number(left(sol)), _as_number(right(sol)))
+    if isinstance(expr, IfCall):
+        cond, then, els = (_compile(e, reads) for e in (expr.cond, expr.then, expr.els))
+
+        def choose(sol: list):
+            chosen = cond(sol)
+            if not isinstance(chosen, bool):
+                raise TypeMismatchError("IF condition must be boolean")
+            return then(sol) if chosen else els(sol)
+        return choose
+    if isinstance(expr, Compare):
+        left, right, op = _compile(expr.left, reads), _compile(expr.right, reads), expr.op
+        return lambda sol: _compare(op, left(sol), right(sol))
+    return _raising(TypeMismatchError(f"cannot evaluate {type(expr).__name__}"))
+
+
+def _raising(error: Exception) -> Compiled:
+    """A function that raises ``error`` whenever it is evaluated."""
+    def fail(sol: list):
+        raise error
+    return fail
+
+
 def eval_expression(expr: Expression, binding: Binding) -> float | bool | Term:
     """Evaluate under a binding.
 
@@ -424,36 +529,9 @@ def eval_expression(expr: Expression, binding: Binding) -> float | bool | Term:
     operator meets operands outside its domain (including division by
     zero), UnboundVariableError for a variable missing from the binding.
     """
-    if isinstance(expr, NumConst):
-        return expr.value
-    if isinstance(expr, BoolConst):
-        return expr.value
-    if isinstance(expr, TermConst):
-        return expr.term
-    if isinstance(expr, VarRef):
-        if expr.name not in binding:
-            raise UnboundVariableError(f"variable ?{expr.name} is unbound")
-        return _term_value(binding[expr.name])
-    if isinstance(expr, Neg):
-        return -_as_number(eval_expression(expr.arg, binding))
-    if isinstance(expr, AbsCall):
-        return abs(_as_number(eval_expression(expr.arg, binding)))
-    if isinstance(expr, Arith):
-        left = _as_number(eval_expression(expr.left, binding))
-        right = _as_number(eval_expression(expr.right, binding))
-        if expr.op == "/" and right == 0.0:
-            raise TypeMismatchError("division by zero")
-        return _ARITHMETIC[expr.op](left, right)
-    if isinstance(expr, IfCall):
-        cond = eval_expression(expr.cond, binding)
-        if not isinstance(cond, bool):
-            raise TypeMismatchError("IF condition must be boolean")
-        return eval_expression(expr.then if cond else expr.els, binding)
-    if isinstance(expr, Compare):
-        return _compare(expr.op,
-                        eval_expression(expr.left, binding),
-                        eval_expression(expr.right, binding))
-    raise TypeMismatchError(f"cannot evaluate {type(expr).__name__}")
+    n = len(binding)
+    reads = {name: _reader(i, n + i) for i, name in enumerate(binding)}
+    return _compile(expr, reads)([*binding.values(), *[_UNREAD] * n])
 
 
 def _as_number(value: float | bool | Term) -> float:
@@ -510,10 +588,126 @@ def _bind_term(value: float | bool | Term) -> Term:
     return value
 
 
-def _resolve(part: Term | Var, sol: Binding) -> Term | None:
-    if isinstance(part, Var):
-        return sol.get(part.name)
-    return part
+# A step maps the solutions before a clause to those after it. It takes
+# (solutions, match, diagnostics), ``match`` being the graph's.
+Step = Callable[[list, Callable, "list[EvalDiagnostic] | None"], list]
+_POSITIONS = tuple(operator.attrgetter(name) for name in ("subject", "predicate", "object"))
+
+
+def _pattern_step(pattern: TriplePattern, index: int, slots: dict[str, int]) -> Step:
+    """The join of a triple pattern. Each position is a constant, a
+    variable bound before (both passed to ``match``), or a variable the
+    pattern binds; a variable the pattern binds twice must match the same
+    term in both places. New variables get the next slots."""
+    bound_before = len(slots)
+    given: list[tuple[Term | None, int | None]] = []  # (constant, cell) per position
+    binds: list[tuple[int, Callable]] = []  # (cell, position) per new variable
+    repeats: list[tuple[Callable, Callable]] = []  # positions that must agree
+    first: dict[str, Callable] = {}
+    for part, position in zip((pattern.subject, pattern.predicate, pattern.object),
+                              _POSITIONS):
+        if not isinstance(part, Var):
+            given.append((part, None))
+        elif slots.get(part.name, bound_before) < bound_before:
+            given.append((None, slots[part.name]))
+        else:
+            given.append((None, None))
+            if part.name in first:
+                repeats.append((first[part.name], position))
+            else:
+                first[part.name] = position
+                binds.append((slots.setdefault(part.name, len(slots)), position))
+    (s, s_cell), (p, p_cell), (o, o_cell) = given
+
+    def step(solutions: list, match, diagnostics) -> list:
+        out = []
+        for sol in solutions:
+            for t in match(s if s_cell is None else sol[s_cell],
+                           p if p_cell is None else sol[p_cell],
+                           o if o_cell is None else sol[o_cell]):
+                if repeats and any(a(t) != b(t) for a, b in repeats):
+                    continue
+                ext = sol.copy()
+                for cell, position in binds:
+                    ext[cell] = position(t)
+                out.append(ext)
+            if len(out) > _MAX_SOLUTIONS:
+                raise TooManySolutionsError(
+                    f"query clause {index} builds more than {_MAX_SOLUTIONS} solutions")
+        return out
+    return step
+
+
+def _expression_step(index: int, compiled: Compiled, value_cell: int | None,
+                     term_cell: int | None) -> Step:
+    """A BIND, which sets ``value_cell`` and, if given, ``term_cell``, or
+    a FILTER (``value_cell`` None), which keeps a solution when its value
+    is true. A solution whose expression raises a type error is
+    eliminated, and ``diagnostics`` records why."""
+    def step(solutions: list, match, diagnostics) -> list:
+        kept = []
+        for sol in solutions:
+            try:
+                value = compiled(sol)
+                if value_cell is None and not isinstance(value, bool):
+                    raise TypeMismatchError(
+                        f"FILTER value is {_describe(value)}, not boolean")
+            except TypeMismatchError as exc:
+                if diagnostics is not None:
+                    diagnostics.append(EvalDiagnostic(index, str(exc)))
+                continue
+            if value_cell is not None:
+                sol[value_cell] = value
+                if term_cell is not None:
+                    sol[term_cell] = _bind_term(value)
+            elif not value:
+                continue
+            kept.append(sol)
+        return kept
+    return step
+
+
+def _compile_query(query: SparqlQuery) -> Callable:
+    """The plan of ``query``: ``run(graph, this, diagnostics)``, which
+    ``evaluate`` calls. Each variable gets its slot, each expression its
+    function and each clause its step here, once."""
+    pattern_vars = {part.name for c in query.clauses if isinstance(c, TriplePattern)
+                    for part in (c.subject, c.predicate, c.object) if isinstance(part, Var)}
+    bind_vars = {c.var for c in query.clauses if isinstance(c, BindClause)}
+    n = len({"this"} | pattern_vars | bind_vars)
+    slots = {"this": 0}
+    reads = {"this": _reader(0, n)}
+    steps: list[Step] = []
+    for index, clause in enumerate(query.clauses):
+        if isinstance(clause, TriplePattern):
+            known = len(slots)
+            steps.append(_pattern_step(clause, index, slots))
+            reads.update((name, _reader(cell, n + cell))
+                         for name, cell in slots.items() if cell >= known)
+            continue
+        compiled = _compile(clause.expression, reads)
+        if isinstance(clause, FilterClause):
+            steps.append(_expression_step(index, compiled, None, None))
+            continue
+        # a BIND's term is made only where the projection or a pattern reads it
+        cell = slots.setdefault(clause.var, len(slots))
+        term_read = clause.var in query.select_vars or clause.var in pattern_vars
+        steps.append(_expression_step(index, compiled, n + cell,
+                                      cell if term_read else None))
+        reads[clause.var] = operator.itemgetter(n + cell)
+    projection = [(name, slots[name]) for name in query.select_vars]
+    blank = [None] * n + [_UNREAD] * n
+
+    def run(graph: Graph, this: Term, diagnostics) -> list[Binding]:
+        solutions = [blank.copy()]
+        solutions[0][0] = this
+        match = graph.match
+        for step in steps:
+            solutions = step(solutions, match, diagnostics)
+            if not solutions:
+                break
+        return [{name: sol[cell] for name, cell in projection} for sol in solutions]
+    return run
 
 
 def evaluate(query: SparqlQuery, graph: Graph, this: Term,
@@ -522,52 +716,8 @@ def evaluate(query: SparqlQuery, graph: Graph, this: Term,
 
     Returns the projected solution sequence in deterministic order. A
     solution hitting a type error in a BIND or FILTER is eliminated, and
-    when ``diagnostics`` is given the elimination is recorded there.
+    when ``diagnostics`` is given the elimination is recorded there. A
+    triple pattern that builds more than ``_MAX_SOLUTIONS`` solutions
+    raises TooManySolutionsError.
     """
-    solutions: list[Binding] = [{"this": this}]
-    for index, clause in enumerate(query.clauses):
-        if isinstance(clause, TriplePattern):
-            solutions = _join_pattern(clause, solutions, graph)
-        else:
-            kept: list[Binding] = []
-            for sol in solutions:
-                try:
-                    value = eval_expression(clause.expression, sol)
-                    if isinstance(clause, FilterClause) and not isinstance(value, bool):
-                        raise TypeMismatchError(
-                            f"FILTER value is {_describe(value)}, not boolean")
-                except TypeMismatchError as exc:
-                    if diagnostics is not None:
-                        diagnostics.append(EvalDiagnostic(index, str(exc)))
-                    continue
-                if isinstance(clause, BindClause):
-                    kept.append({**sol, clause.var: _bind_term(value)})
-                elif value:
-                    kept.append(sol)
-            solutions = kept
-        if not solutions:
-            break
-    return [{name: sol[name] for name in query.select_vars} for sol in solutions]
-
-
-def _join_pattern(pattern: TriplePattern, solutions: list[Binding],
-                  graph: Graph) -> list[Binding]:
-    out: list[Binding] = []
-    for sol in solutions:
-        s = _resolve(pattern.subject, sol)
-        p = _resolve(pattern.predicate, sol)
-        o = _resolve(pattern.object, sol)
-        for triple in graph.match(s, p, o):
-            ext = dict(sol)
-            consistent = True
-            for got, want in ((triple.subject, pattern.subject),
-                              (triple.predicate, pattern.predicate),
-                              (triple.object, pattern.object)):
-                if isinstance(want, Var):
-                    if want.name in ext and ext[want.name] != got:
-                        consistent = False
-                        break
-                    ext[want.name] = got
-            if consistent:
-                out.append(ext)
-    return out
+    return query._plan(graph, this, diagnostics)

@@ -1,4 +1,5 @@
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -6,6 +7,8 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from govshapes.corpus import (
+    COMPILER_CASES,
+    case_source,
     compiler_corpus,
     default_registry,
     expected_outcomes,
@@ -75,3 +78,62 @@ def compiler_cases():
 @pytest.fixture(scope="session")
 def all_cases():
     return full_corpus()
+
+
+def renamed(case_id: str, tag: str) -> str:
+    """A bundled case with ``_<tag>`` after every individual's local name."""
+    return re.sub(r"\bex:([A-Za-z]+[0-9]+)\b", rf"ex:\1_{tag}", case_source(case_id))
+
+
+@pytest.fixture(scope="session")
+def eight_decisions() -> str:
+    """Two renamed copies of each compiler case in one document: 8
+    decisions, 124 triples."""
+    return "".join(renamed(case_id, f"{copy}{i}") for copy in "xy"
+                   for i, case_id in enumerate(COMPILER_CASES))
+
+
+@pytest.fixture(scope="session")
+def cross_product_block() -> str:
+    """A block source of one query record whose three patterns share no
+    variable, so that they join as a cross product."""
+    return ("- obligation_id: X1\n"
+            "  target_class: ex:Decision\n"
+            "  constraint_type: sparql\n"
+            "  message: Cross product.\n"
+            "  sparql_text: SELECT $this WHERE { ?a ?p ?b . ?c ?q ?d . ?e ?r ?f }\n")
+
+
+@pytest.fixture(scope="session")
+def score_block() -> str:
+    """A block source of two query records that read ``ex:score`` as a
+    number."""
+    return """\
+- obligation_id: Q1
+  target_class: ex:Decision
+  constraint_type: sparql
+  message: Score above one.
+  sparql_text: SELECT $this WHERE { $this ex:score ?s . FILTER(?s > 1) }
+
+- obligation_id: Q2
+  target_class: ex:Decision
+  constraint_type: sparql
+  message: Doubled score below zero.
+  sparql_text: >-
+    SELECT $this WHERE { $this a ex:Decision ; ex:score ?s .
+    BIND(?s * 2 AS ?d) FILTER(?d < 0) }
+"""
+
+
+@pytest.fixture(scope="session")
+def score_case() -> str:
+    """Three decisions, given out of canonical order, each with two scores
+    that are no decimals: ``score_block``'s queries eliminate every
+    solution."""
+    return """\
+@prefix ex: <http://example.org/okb#> .
+@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .
+ex:d3 a ex:Decision ; ex:score "c2"^^xsd:decimal, "c1"^^xsd:decimal .
+ex:d1 a ex:Decision ; ex:score "a2"^^xsd:decimal, "a1"^^xsd:decimal .
+ex:d2 a ex:Decision ; ex:score "b1"^^xsd:decimal, "b2"^^xsd:decimal .
+"""

@@ -7,6 +7,7 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -515,6 +516,49 @@ def test_config_switches_to_external_directories(tmp_path, capsys):
     # the bundled profiles are gone once a config takes over
     assert main(["validate", str(case), "--profile", "Combined",
                  "--config", str(config)]) == 2
+
+
+def external_block(tmp_path, source):
+    """A config whose blocks directory holds ``source`` as the block ``b``
+    and the profile ``B`` made of it."""
+    blocks = tmp_path / "blocks"
+    blocks.mkdir()
+    (blocks / "b.ir.yaml").write_text(source, "utf-8")
+    (blocks / "B.profile").write_text("profile: B\nb\n", "utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"blocks_dir": str(blocks)}), "utf-8")
+    return config
+
+
+def test_validate_and_refine_print_diagnostics_by_shape_focus_and_solution(
+        tmp_path, capsys, score_block, score_case):
+    config = external_block(tmp_path, score_block)
+    cases = tmp_path / "cases"
+    cases.mkdir()
+    (cases / "case_three.ttl").write_text(score_case, "utf-8")
+    reasons = [f"query clause {clause} eliminated a solution: "
+               f"literal '{score}' is not a valid number"
+               for clause in (1, 2) for score in ("a1", "a2", "b1", "b2", "c1", "c2")]
+    assert main(["validate", str(cases / "case_three.ttl"), "--profile", "B",
+                 "--config", str(config)]) == 0
+    assert capsys.readouterr().err == "".join(f"warning: {r}\n" for r in reasons)
+    assert main(["refine", "B", "--corpus", str(cases), "--config", str(config)]) == 0
+    out, err = capsys.readouterr()
+    assert out == "0 hold, 0 do not hold\nno equivalent pairs\n"
+    assert err == "".join(f"warning: case three: {r}\n" for r in reasons)
+
+
+def test_validate_exits_two_within_a_second_on_a_query_past_the_solution_bound(
+        tmp_path, capsys, eight_decisions, cross_product_block):
+    config = external_block(tmp_path, cross_product_block)
+    case = tmp_path / "eight.ttl"
+    case.write_text(eight_decisions, "utf-8")
+    start = time.perf_counter()
+    assert main(["validate", str(case), "--profile", "B", "--config", str(config)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        "error: shape <http://example.org/okb#X1Shape>: "
+        "query clause 2 builds more than 100000 solutions\n")
 
 
 def test_config_rejects_unknown_keys(tmp_path, capsys):

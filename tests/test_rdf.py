@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import strategies as gen
-from govshapes import rdf, sparql
+from govshapes import corpus, rdf, sparql
 from govshapes.errors import TurtleSyntaxError
 from govshapes.rdf import (
     EX,
@@ -27,6 +27,7 @@ from govshapes.rdf import (
     parse_turtle,
     serialize_turtle,
     term_sort_key,
+    triple_sort_key,
     union,
 )
 
@@ -157,6 +158,53 @@ def test_match_result_is_a_fresh_list():
     g.match(EX.s).clear()
     g.match().clear()
     assert g.match(EX.s) == g.match() == [Triple(EX.s, EX.p, EX.o)]
+
+
+def _sorted_scan(triples, s, p, o):
+    """``_scan`` over a plain list: the triples agreeing with every given
+    position, in canonical order, from a sort of their own."""
+    return [t for t in sorted(triples, key=triple_sort_key)
+            if (s is None or t.subject == s) and (p is None or t.predicate == p)
+            and (o is None or t.object == o)]
+
+
+@given(gen.bnode_graphs(), st.randoms(use_true_random=False), st.data())
+def test_match_sorts_buckets_on_first_read_in_any_read_order(g, rng, data):
+    triples = list(g._triples)
+    rng.shuffle(triples)
+    shuffled = Graph(triples)
+    terms = [x for t in triples for x in (t.subject, t.predicate, t.object)]
+    probe = st.sampled_from(terms) | gen.ground_terms if terms else gen.ground_terms
+    base = data.draw(st.sampled_from(triples)) if triples else Triple(EX.s, EX.p, EX.o)
+    spo = [data.draw(st.just(term) | probe)
+           for term in (base.subject, base.predicate, base.object)]
+    # a triple beside the base, so that the add refills buckets already read
+    extra = Triple(base.subject, base.predicate, data.draw(gen.ground_terms))
+    masks = list(itertools.product((False, True), repeat=3))
+    for expected in (triples, {*triples, extra}):
+        rng.shuffle(masks)  # match() alone, which sorts every triple, comes anywhere
+        for mask in masks:
+            args = [term if bound else None for term, bound in zip(spo, mask)]
+            assert shuffled.match(*args) == _sorted_scan(expected, *args)
+        shuffled.add(extra)
+
+
+def test_match_by_subject_lists_its_predicates_in_canonical_order():
+    # rdf:type sorts by its IRI here, unlike in the serializer
+    triples = [Triple(EX.s, p, o) for p in (EX.z, RDF.type, EX.a, EX.m)
+               for o in (EX.o2, EX.o1)]
+    g = Graph(reversed(triples))
+    assert g.match(EX.s, EX.m) == [Triple(EX.s, EX.m, EX.o1), Triple(EX.s, EX.m, EX.o2)]
+    assert g.match(EX.s) == sorted(triples, key=triple_sort_key)
+    assert [t.predicate for t in g.match(EX.s, None, EX.o1)] == [EX.a, EX.m, EX.z, RDF.type]
+    assert g._sorted is None
+
+
+def test_validation_sorts_no_more_than_the_buckets_it_reads():
+    for case_id in corpus.COMPILER_CASES:
+        graph = parse_turtle(corpus.case_source(case_id))
+        corpus.default_registry().validate_profile(graph, "Combined")
+        assert graph._sorted is None, case_id
 
 
 def test_subjects_of_type():

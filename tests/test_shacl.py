@@ -1,9 +1,15 @@
 """Shape loading, validation semantics, and report graphs."""
 
+import pickle
+import time
+
 import pytest
 
 import oracle
-from govshapes.errors import MalformedShapeError, UnsupportedConstraintError
+from govshapes import corpus
+from govshapes.errors import (MalformedShapeError, TooManySolutionsError,
+                              UnsupportedConstraintError)
+from govshapes.ir import compile_block, parse_ir
 from govshapes.rdf import (
     EX,
     RDF,
@@ -681,3 +687,43 @@ def test_report_reader_rejects_a_duplicated_facet(predicate):
     with pytest.raises(MalformedShapeError) as info:
         read_report(parse_turtle(text))
     assert str(info.value) == f"{predicate} has 2 values, expected one"
+
+
+# ---------------------------------------------------------------------------
+# Shape plans, diagnostics order and the solution bound
+# ---------------------------------------------------------------------------
+
+def _block_shapes(source: str):
+    return list(compile_block(parse_ir(source), "test").shapes)
+
+
+def test_validated_shapes_keep_their_equality_hash_repr_and_pickle():
+    used = _block_shapes(corpus.block_source("fairness"))
+    fresh = _block_shapes(corpus.block_source("fairness"))
+    graph = parse_turtle(corpus.case_source("disparity_exceeds"))
+    report = validate(used, graph)
+    assert report.count() == 1
+    for shape, other in zip(used, fresh, strict=True):
+        assert shape == other and hash(shape) == hash(other) and repr(shape) == repr(other)
+        again = pickle.loads(pickle.dumps(shape))
+        assert again == shape and hash(again) == hash(shape) and repr(again) == repr(shape)
+    assert validate([pickle.loads(pickle.dumps(s)) for s in used], graph) == report
+
+
+def test_diagnostics_come_by_shape_then_focus_node_then_solution(score_block, score_case):
+    report = validate(_block_shapes(score_block), parse_turtle(score_case))
+    assert report.conforms and report.violations == ()
+    assert [(d.clause_index, d.reason) for d in report.diagnostics] == [
+        (clause, f"literal '{score}' is not a valid number")
+        for clause in (1, 2) for score in ("a1", "a2", "b1", "b2", "c1", "c2")]
+
+
+def test_a_shape_whose_query_passes_the_solution_bound_is_named(
+        eight_decisions, cross_product_block):
+    shapes = _block_shapes(cross_product_block)
+    start = time.perf_counter()
+    with pytest.raises(TooManySolutionsError) as info:
+        validate(shapes, parse_turtle(eight_decisions))
+    assert time.perf_counter() - start < 1.0
+    assert str(info.value) == ("shape <http://example.org/okb#X1Shape>: "
+                               "query clause 2 builds more than 100000 solutions")

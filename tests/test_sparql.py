@@ -1,14 +1,18 @@
 """Query parsing, scope checking, and evaluation semantics."""
 
+import pickle
 import random
+import time
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import oracle
-from govshapes.errors import GovshapesError, SparqlSyntaxError, UnboundVariableError
-from govshapes.rdf import EX, RDF, XSD, BlankNode, Graph, Iri, Literal, Triple
+from govshapes import sparql
+from govshapes.errors import (GovshapesError, SparqlSyntaxError, TooManySolutionsError,
+                              UnboundVariableError)
+from govshapes.rdf import EX, RDF, XSD, BlankNode, Graph, Iri, Literal, Triple, parse_turtle
 from govshapes.sparql import (
     Arith,
     BindClause,
@@ -597,6 +601,92 @@ def test_reference_query_zero_allocations_guarded():
     diags = []
     assert evaluate(q(oracle.REFERENCE_QUERY), g, EX.d, diags) == []
     assert diags == []
+
+
+def test_variable_bound_before_and_repeated_in_one_pattern():
+    g = graph_of(
+        Triple(EX.d, EX.p, EX.a),
+        Triple(EX.d, EX.p, EX.b),
+        Triple(EX.a, EX.q, EX.a),
+        Triple(EX.b, EX.q, EX.c),
+    )
+    rows = evaluate(q("SELECT $this ?x WHERE { $this ex:p ?x . ?x ex:q ?x }"), g, EX.d)
+    assert rows == [{"this": EX.d, "x": EX.a}]
+    rows = evaluate(q("SELECT $this ?x ?y WHERE { $this ex:p ?x . ?x ex:q ?y . "
+                      "FILTER(?x != ?y) }"), g, EX.d)
+    assert rows == [{"this": EX.d, "x": EX.b, "y": EX.c}]
+
+
+def test_variable_predicate_lists_predicates_in_canonical_order():
+    g = graph_of(
+        Triple(EX.d, EX.z, n("1")),
+        Triple(EX.d, EX.a, n("2")),
+        Triple(EX.d, EX.a, n("1")),
+        Triple(EX.e, EX.a, n("3")),
+    )
+    rows = evaluate(q("SELECT $this ?p ?o WHERE { $this ?p ?o }"), g, EX.d)
+    assert [(r["p"], r["o"]) for r in rows] == [(EX.a, n("1")), (EX.a, n("2")),
+                                                (EX.z, n("1"))]
+    rows = evaluate(q("SELECT $this ?o WHERE { $this ?p ?o . FILTER(?p != ex:a) }"),
+                    g, EX.d)
+    assert rows == [{"this": EX.d, "o": n("1")}]
+
+
+def test_variable_predicate_joins_and_repeats():
+    g = graph_of(
+        Triple(EX.d, EX.p, EX.o),
+        Triple(EX.d, EX.q, EX.o),
+        Triple(EX.o, EX.p, EX.d),
+        Triple(EX.p, EX.p, EX.x),
+    )
+    # ?p is bound by the first pattern and read by the second
+    rows = evaluate(q("SELECT $this ?p WHERE { $this ?p ?o . ?o ?p $this }"), g, EX.d)
+    assert rows == [{"this": EX.d, "p": EX.p}]
+    # ?s as subject and predicate of one pattern
+    rows = evaluate(q("SELECT $this ?s WHERE { ?s ?s ?o }"), g, EX.d)
+    assert rows == [{"this": EX.d, "s": EX.p}]
+
+
+def test_a_query_that_ran_keeps_its_equality_hash_repr_and_pickle():
+    g = graph_of(
+        Triple(EX.d, EX.allocatedGPUHoursGroupA, n("100")),
+        Triple(EX.d, EX.allocatedGPUHoursGroupB, n("70")),
+        Triple(EX.d, EX.fairnessThreshold, Literal("0.2", XSD.decimal)),
+    )
+    query, fresh = q(oracle.REFERENCE_QUERY), q(oracle.REFERENCE_QUERY)
+    assert evaluate(query, g, EX.d) == [{"this": EX.d}]
+    assert query == fresh and hash(query) == hash(fresh) and repr(query) == repr(fresh)
+    again = pickle.loads(pickle.dumps(query))
+    assert again == query and hash(again) == hash(query) and repr(again) == repr(query)
+    assert evaluate(again, g, EX.d) == [{"this": EX.d}]
+
+
+# ---------------------------------------------------------------------------
+# The solution bound
+# ---------------------------------------------------------------------------
+
+def test_a_join_past_the_solution_bound_raises_naming_the_clause(monkeypatch):
+    g = graph_of(*(Triple(EX.term(f"s{i}"), EX.p, EX.o) for i in range(5)))
+    monkeypatch.setattr(sparql, "_MAX_SOLUTIONS", 25)
+    # 5 solutions, then 25: at the bound, not past it
+    assert len(evaluate(q("SELECT $this WHERE { ?a ?p ?b . ?c ?q ?d }"), g, EX.d)) == 25
+    # 1, 5, 25, then 125
+    query = q("SELECT $this WHERE { $this ex:p ?o . ?a ?p ?b . ?c ?q ?d . ?e ?r ?f }")
+    with pytest.raises(TooManySolutionsError,
+                       match="^query clause 3 builds more than 25 solutions$"):
+        evaluate(query, g, EX.s0)
+    assert evaluate(query, g, EX.d) == []  # the first pattern leaves nothing to join
+
+
+def test_the_solution_bound_stops_a_cross_product_within_a_second(eight_decisions):
+    g = parse_turtle(eight_decisions)
+    assert len(g) == 124
+    focus = g.subjects_of_type(EX.Decision)[0]
+    query = q("SELECT $this WHERE { ?a ?p ?b . ?c ?q ?d . ?e ?r ?f }")
+    start = time.perf_counter()
+    with pytest.raises(TooManySolutionsError, match="query clause 2 builds more than"):
+        evaluate(query, g, focus)
+    assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------

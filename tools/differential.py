@@ -5,9 +5,12 @@ Usage::
     python3 tools/differential.py PARENT_SRC CHANGE_SRC [--mutations N] [--seed S]
 
 ``PARENT_SRC`` and ``CHANGE_SRC`` are the ``src`` directories of two
-checkouts. The script mutates the bundled evidence cases and a few
+checkouts. The script mutates the bundled evidence cases, a few
 documents with blank nodes (shared, cyclic, nested and tied ones, so
-that labelling and block order are exercised), the constraint
+that labelling and block order are exercised), and documents of three
+bundled cases renamed apart and concatenated (so that a mutation reaches
+buckets of several triples, the order of several focus nodes and the
+diagnostics of each), the constraint
 queries (the bundled ones, and those ``perfbench/generate.py`` writes for
 seeds 1-10) and the block sources (the bundled ``.ir.yaml`` files, and the
 record files ``perfbench/generate.py`` writes for seed 1) ``N`` times
@@ -115,14 +118,29 @@ BNODE_DOCUMENTS = tuple("@prefix ex: <http://example.org/okb#> .\n" + text for t
 ))
 
 
+# Three bundled cases per document, each renamed apart by generate.rename:
+# decisions that conform, fail a structural check or fail the disparity
+# query sit side by side.
+MULTI_DECISION_CASES = (
+    ("conform", "disparity_exceeds", "missing_explanation"),
+    ("missing_model_artifact", "exp1_violate", "disparity_exceeds"),
+    ("exp1_conform", "exp1_profile", "conform"),
+)
+
+
 def _base_inputs() -> dict[str, list[str]]:
     import yaml
 
     sys.path.insert(0, str(ROOT / "perfbench"))
     import generate
 
+    def case(case_id: str) -> str:
+        return (DATA / "cases" / f"case_{case_id}.ttl").read_text("utf-8")
+
     cases = [p.read_text("utf-8") for p in sorted((DATA / "cases").glob("*.ttl"))]
     cases += BNODE_DOCUMENTS
+    cases += ["".join(generate.rename(case(case_id), f"m{i}") for i, case_id in enumerate(ids))
+              for ids in MULTI_DECISION_CASES]
     blocks = [p.read_text("utf-8") for p in sorted((DATA / "blocks").glob("*.ir.yaml"))]
     sources = blocks + [text for seed in QUERY_SEEDS
                         for s in generate.obligation_sets(seed) for text in s.texts[:1]]
