@@ -253,7 +253,6 @@ _EMPTY: dict = {}  # the default of a lookup that misses; never written
 _sort_key = attrgetter("_key")  # term_sort_key, without a Python call
 # triple_sort_key on the triples of a bucket, which share the positions left out
 _by_object = attrgetter("object._key")
-_by_subject_object = attrgetter("subject._key", "object._key")
 _by_subject_predicate = attrgetter("subject._key", "predicate._key")
 
 
@@ -274,30 +273,31 @@ class Graph:
     immutable afterwards; all read paths are safe to share across
     threads.
 
-    The first read after the last ``add`` builds three hash indexes in one
+    The first read after the last ``add`` builds two hash indexes in one
     pass over the triple set, without sorting it: subject -> predicate ->
-    triples (the SPO layout of Hexastore), predicate -> triples and
-    object -> triples. Each bucket starts as a list in set order. The
-    first read of a bucket sorts it into canonical order, by the positions
-    its triples do not share, and stores the sorted tuple in its place in
-    one assignment, as the indexes are stored. So a concurrent reader
-    finds a bucket unsorted, and sorts it as well, or sorted, never half
-    sorted. Only the buckets that reads touch are sorted. The sorted list
-    of every triple is built only for ``sorted_triples``, ``match`` with
-    no argument and iteration. ``add`` drops the indexes and that list.
+    triples (the SPO layout of Hexastore) and object -> triples. The
+    validator, the query engine and the serializer all read these. Each
+    bucket starts as a list in set order. The first ``match`` that reads a
+    bucket sorts it into canonical order, by the positions its triples do
+    not share, and stores the sorted tuple in its place in one assignment,
+    as the indexes are stored; the serializer sorts copies only. So a
+    concurrent reader finds a bucket unsorted, and sorts it as well, or
+    sorted, never half sorted. The sorted list of every triple is built
+    only for ``sorted_triples``, iteration and a ``match`` with neither
+    subject nor object. ``add`` drops the indexes and that list.
 
     ``match`` with a subject reads that subject's predicate map: with the
     predicate too it is two dictionary lookups and a copy of the bucket;
     without it, the subject's predicates are sorted on each such read.
-    Without a subject it reads the shorter of the predicate and object
-    buckets given, keeping the triples that agree with the other.
+    Without a subject it filters the object's bucket, or with no object
+    the sorted list, by the predicate given.
     """
 
     def __init__(self, triples=(), prefixes: dict[str, str] | None = None):
         self._triples: set[Triple] = set(triples)
         self._prefixes: dict[str, str] = dict(prefixes or {})
         self._sorted: list[Triple] | None = None
-        self._index: tuple[_SubjectIndex, _Index, _Index] | None = None
+        self._index: tuple[_SubjectIndex, _Index] | None = None
 
     @property
     def prefixes(self) -> dict[str, str]:
@@ -334,17 +334,15 @@ class Graph:
             self._sorted = sorted(self._triples, key=triple_sort_key)
         return self._sorted
 
-    def _indexes(self) -> tuple[_SubjectIndex, _Index, _Index]:
-        """The subject-predicate, predicate and object indexes, built from
-        the triple set in one pass, their buckets unsorted."""
+    def _indexes(self) -> tuple[_SubjectIndex, _Index]:
+        """The subject-predicate and object indexes, built from the triple
+        set in one pass, their buckets unsorted."""
         by_sp: _SubjectIndex = {}
-        by_p: _Index = {}
         by_o: _Index = {}
         for t in self._triples:
             by_sp.setdefault(t.subject, {}).setdefault(t.predicate, []).append(t)
-            by_p.setdefault(t.predicate, []).append(t)
             by_o.setdefault(t.object, []).append(t)
-        index = self._index = (by_sp, by_p, by_o)
+        index = self._index = (by_sp, by_o)
         return index
 
     def match(self, s: Term | None = None, p: Term | None = None,
@@ -355,7 +353,7 @@ class Graph:
         is returned in canonical order so downstream joins stay
         deterministic.
         """
-        by_sp, by_p, by_o = self._index or self._indexes()
+        by_sp, by_o = self._index or self._indexes()
         if s is not None:
             by_pred = by_sp.get(s, _EMPTY)
             if p is not None:
@@ -364,16 +362,9 @@ class Graph:
             return [t for pred in sorted(by_pred, key=_sort_key)
                     for t in _sorted_bucket(by_pred, pred, _by_object)
                     if o is None or t.object == o]
-        if o is None:
-            if p is None:
-                return list(self.sorted_triples())
-            return list(_sorted_bucket(by_p, p, _by_subject_object))
-        if p is None:
-            return list(_sorted_bucket(by_o, o, _by_subject_predicate))
-        # filter the shorter bucket, and sort only that one
-        if len(by_p.get(p, ())) < len(by_o.get(o, ())):
-            return [t for t in _sorted_bucket(by_p, p, _by_subject_object) if t.object == o]
-        return [t for t in _sorted_bucket(by_o, o, _by_subject_predicate) if t.predicate == p]
+        found = (self.sorted_triples() if o is None
+                 else _sorted_bucket(by_o, o, _by_subject_predicate))
+        return list(found) if p is None else [t for t in found if t.predicate == p]
 
     def subjects_of_type(self, cls: Iri) -> list[Term]:
         """The distinct instances of ``cls``, in canonical order."""
@@ -391,7 +382,7 @@ def union(a: Graph, b: Graph) -> Graph:
                 label, ns, prefixes[label])
         prefixes[label] = ns
     g = Graph(prefixes=prefixes)
-    g._triples = set(a._triples) | set(b._triples)
+    g._triples = a._triples | b._triples
     return g
 
 
@@ -865,13 +856,13 @@ def parse_turtle(source: str) -> Graph:
 class _Serializer:
     """The canonical text of one graph.
 
-    One pass over the graph's triple set, in set order and without
-    sorting, builds ``by_subject`` (subject -> predicate -> objects) and
-    ``refs`` (blank node -> the number of triples naming it as object).
-    So the order of those dictionaries depends on the hash seed. It never
-    reaches the output: subjects, predicates and objects are sorted where
-    they are rendered, and every sort key is total, a blank node's input
-    label breaking the last ties.
+    It reads the graph's indexes, building them if no read has yet:
+    ``by_subject`` (subject -> predicate -> triples) and ``by_object``
+    (term -> the triples naming it as object, one per parent). It sorts
+    copies and never writes a bucket, which may be in set order or sorted
+    by an earlier ``match``; neither order reaches the output. Subjects,
+    predicates and objects are sorted where they are rendered, and every
+    sort key is total, a blank node's input label breaking the last ties.
 
     A blank node named by two triples, or from which a cycle is reachable,
     is labelled ``_:cN``, numbered by content key and then input label;
@@ -895,14 +886,7 @@ class _Serializer:
         # longest-namespace-first so nested namespaces resolve correctly
         self.ns_by_length = sorted(graph.prefixes.items(),
                                    key=lambda kv: (-len(kv[1]), kv[0]))
-        by_subject: dict[Term, dict[Iri, list[Term]]] = {}
-        refs: dict[BlankNode, int] = {}
-        for t in graph._triples:
-            o = t.object
-            by_subject.setdefault(t.subject, {}).setdefault(t.predicate, []).append(o)
-            if isinstance(o, BlankNode):
-                refs[o] = refs.get(o, 0) + 1
-        self.by_subject, self.refs = by_subject, refs
+        self.by_subject, self.by_object = graph._index or graph._indexes()
         self.cyclic = self._reaching_a_cycle()
         self.keys: dict[tuple, str] = {}
         self.texts: dict[tuple, str] = {}
@@ -912,22 +896,19 @@ class _Serializer:
 
     def _reaching_a_cycle(self) -> set[BlankNode]:
         """The blank nodes from which a cycle of blank nodes is reachable:
-        those left after peeling off sinks again and again."""
-        left: dict[BlankNode, int] = {}  # node -> its blank-node edges not yet peeled
-        parents: dict[BlankNode, list[BlankNode]] = {}  # node -> one subject per edge
-        for s, by_pred in self.by_subject.items():
-            if isinstance(s, BlankNode):
-                for objs in by_pred.values():
-                    for o in objs:
-                        if isinstance(o, BlankNode):
-                            parents.setdefault(o, []).append(s)
-                            left[s] = left.get(s, 0) + 1
-        sinks = [b for b in parents if b not in left]
+        those left after peeling off sinks again and again, each node's
+        parents read from its object bucket."""
+        # node -> its blank-node edges not yet peeled
+        left = {s: sum(isinstance(t.object, BlankNode) for ts in by_pred.values() for t in ts)
+                for s, by_pred in self.by_subject.items() if isinstance(s, BlankNode)}
+        sinks = [b for b in self.by_object if isinstance(b, BlankNode) and not left.get(b)]
         while sinks:
-            for s in parents.get(sinks.pop(), ()):
-                left[s] -= 1
-                if not left[s]:
-                    sinks.append(s)
+            for t in self.by_object.get(sinks.pop(), ()):
+                s = t.subject
+                if isinstance(s, BlankNode):
+                    left[s] -= 1
+                    if not left[s]:
+                        sinks.append(s)
         return {b for b, n in left.items() if n}
 
     def content_key(self, b: BlankNode, stack: tuple = ()) -> str:
@@ -943,9 +924,9 @@ class _Serializer:
         if b in stack:
             return "~cycle~"
         stack += (b,)
-        parts = [p.value + "=" + (self.content_key(o, stack) if isinstance(o, BlankNode)
-                                  else repr(o._key))
-                 for p, objs in self.by_subject.get(b, _EMPTY).items() for o in objs]
+        parts = [p.value + "=" + (self.content_key(t.object, stack)
+                                  if isinstance(t.object, BlankNode) else repr(t.object._key))
+                 for p, ts in self.by_subject.get(b, _EMPTY).items() for t in ts]
         key = "(" + ";".join(sorted(parts)) + ")"
         if b not in self.cyclic:
             self.keys[b._key] = key
@@ -955,7 +936,8 @@ class _Serializer:
 
     def render(self) -> str:
         # blank nodes needing a stable label: multiply referenced or cyclic
-        labelled = sorted(self.cyclic.union(b for b, n in self.refs.items() if n >= 2),
+        labelled = sorted(self.cyclic.union(b for b, ts in self.by_object.items()
+                                            if isinstance(b, BlankNode) and len(ts) >= 2),
                           key=lambda b: (self.content_key(b), b.label))
         self.labels = {b: f"c{i}" for i, b in enumerate(labelled)}
         self.texts.update((b._key, "_:" + label) for b, label in self.labels.items())
@@ -964,7 +946,8 @@ class _Serializer:
             ((0, s.value), self._render_iri(s), s) if isinstance(s, Iri)
             else ((2, self.labels[s]), "_:" + self.labels[s], s) if s in self.labels
             else ((1, self.content_key(s), s.label), "[]", s)
-            for s in self.by_subject if s in self.labels or s not in self.refs)
+            for s in self.by_subject
+            if isinstance(s, Iri) or s in self.labels or s not in self.by_object)
         body = [f"{head} " + " ;\n    ".join(self._predicate_objects(s)) + " ."
                 for _, head, s in blocks]
         header = "\n".join(f"@prefix {label}: <{ns}> ."
@@ -994,12 +977,12 @@ class _Serializer:
             head = heads.get(p._key)
             if head is None:
                 head = heads[p._key] = self._render_iri(p) + " "
-            objs = by_pred[p]
-            if len(objs) == 1:
-                lines.append(head + render(objs[0]))
+            ts = by_pred[p]
+            if len(ts) == 1:
+                lines.append(head + render(ts[0].object))
             else:
-                lines.append(head + ", ".join(
-                    map(render, sorted(objs, key=self._object_sort_key))))
+                lines.append(head + ", ".join(map(render, sorted(
+                    [t.object for t in ts], key=self._object_sort_key))))
         return lines
 
     def _render_object(self, o: Term) -> str:

@@ -7,7 +7,8 @@ families are supported:
               kind, and class-qualified minimum cardinality, all over a
               single predicate path
   query       a SELECT constraint whose solutions denote violating
-              focus nodes (the restricted fragment in ``sparql``)
+              focus nodes (the restricted fragment in ``sparql``), one
+              result per solution, as W3C SHACL §5.3 has it
 
 Validation walks shapes in IRI order and their target instances in
 canonical term order, and runs each shape's plan on every instance: one
@@ -451,10 +452,11 @@ def _constraint_check(shape: NodeShape, c: Constraint) -> Check:
     """The check of constraint ``c`` of ``shape``, with its family
     dispatched and its message resolved here, once.
 
-    A query constraint reports each solution of its query. A count
-    constraint reads the focus node's path triples and reports the node
-    once, with no value; any other structural constraint reports each
-    value of the path that fails its test.
+    A query constraint reports each solution of its query, even two that
+    project to one row (W3C SHACL §5.3). A count constraint reads the
+    focus node's path triples and reports the node once, with no value;
+    any other structural constraint reports each value of the path that
+    fails its test.
     """
     iri, severity, message = shape.iri, shape.severity, shape.constraint_message(c)
     if isinstance(c, SparqlConstraint):

@@ -714,10 +714,10 @@ def evaluate(query: SparqlQuery, graph: Graph, this: Term,
              diagnostics: list[EvalDiagnostic] | None = None) -> list[Binding]:
     """Run a constraint query with ``$this`` pre-bound to ``this``.
 
-    Returns the projected solution sequence in deterministic order. A
-    solution hitting a type error in a BIND or FILTER is eliminated, and
-    when ``diagnostics`` is given the elimination is recorded there. A
-    triple pattern that builds more than ``_MAX_SOLUTIONS`` solutions
-    raises TooManySolutionsError.
+    Returns the projected solution sequence in deterministic order, a row
+    per solution, so duplicates stay. A type error in a BIND or FILTER
+    eliminates its solution, and when ``diagnostics`` is given the
+    elimination is recorded there. A triple pattern that builds more than
+    ``_MAX_SOLUTIONS`` solutions raises TooManySolutionsError.
     """
     return query._plan(graph, this, diagnostics)

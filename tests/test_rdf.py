@@ -1022,6 +1022,31 @@ def test_serialization_fixpoint_with_bnodes(g):
     assert serialize_turtle(reparsed) == text
 
 
+def _buckets(g: Graph) -> list:
+    """Every bucket of ``g``'s subject-predicate and object indexes."""
+    by_sp, by_o = g._index
+    return [*(b for by_pred in by_sp.values() for b in by_pred.values()), *by_o.values()]
+
+
+@given(gen.bnode_graphs())
+def test_serialize_reads_the_graph_indexes_and_leaves_them_as_found(g):
+    fresh = Graph(g._triples, prefixes=g.prefixes)
+    text = serialize_turtle(fresh)
+    assert fresh._sorted is None
+    assert all(b.__class__ is list for b in _buckets(fresh))
+    read = Graph(g._triples, prefixes=g.prefixes)
+    read.match()  # builds the indexes, even with no triple to read below
+    for t in g._triples:
+        for mask in itertools.product((False, True), repeat=3):
+            read.match(*(term if bound else None
+                         for term, bound in zip((t.subject, t.predicate, t.object), mask)))
+    index, buckets = read._index, _buckets(read)
+    assert all(b.__class__ is tuple for b in buckets)
+    assert serialize_turtle(read) == text
+    assert read._index is index
+    assert all(b is before for b, before in zip(_buckets(read), buckets, strict=True))
+
+
 @given(gen.ground_graphs(), gen.ground_graphs())
 def test_union_is_commutative_on_triples(a, b):
     assert set(union(a, b)) == set(union(b, a))

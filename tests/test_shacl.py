@@ -373,6 +373,20 @@ def test_sparql_constraint_reports_solutions():
     assert v.path is None
 
 
+def test_sparql_constraint_reports_each_solution_of_one_projected_row():
+    # two solutions, one per value of ?v, project to the same $this
+    text = "SELECT $this WHERE { $this ex:p ?v }"
+    shape = NodeShape(EX.S, EX.T, (SparqlConstraint(text, parse_sparql(text), "Has p."),))
+    g = evidence(
+        Triple(EX.x, RDF.type, EX.T),
+        Triple(EX.x, EX.p, EX.a),
+        Triple(EX.x, EX.p, EX.b),
+    )
+    report = validate([shape], g)
+    assert report.violations == (Violation(EX.S, EX.x, "Has p."),) * 2
+    assert len({v.identity for v in report.violations}) == 1
+
+
 def test_sparql_constraint_surfaces_eval_diagnostics():
     text = "SELECT $this WHERE { $this ex:p ?v . FILTER(?v > 10) }"
     shape = NodeShape(EX.S, EX.T, (SparqlConstraint(text, parse_sparql(text)),))

@@ -87,3 +87,56 @@ def test_every_function_is_used():
     def trees(paths):
         return [ast.parse(path.read_text("utf-8")) for path in paths]
     assert dead_functions(trees(SOURCES), trees(sorted((ROOT / "tests").glob("*.py")))) == []
+
+
+def _bound_names(node: ast.stmt) -> list[str]:
+    """The names a module-level statement binds, other than by ``def`` or
+    ``import``: assignment targets, tuples of them included, and classes."""
+    if isinstance(node, ast.ClassDef):
+        return [node.name]
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, (ast.AnnAssign, ast.AugAssign))
+               else [])
+    return [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+
+
+def dead_names(modules: list[ast.Module], others: list[ast.Module]) -> list[str]:
+    """The names, dunders aside, that ``modules`` bind at module level by
+    assignment or class and that appear in ``modules`` and ``others`` only
+    in the statements binding them."""
+    used = sum((used_names(tree) for tree in modules + others), Counter())
+    own: Counter = Counter()  # name -> its appearances in the statements binding it
+    for tree in modules:
+        for node in tree.body:
+            for name in _bound_names(node):
+                own[name] += used_names(node)[name]
+    return [name for name in own if not (name.startswith("__") and name.endswith("__"))
+            and used[name] == own[name]]
+
+
+def test_dead_names_are_found():
+    module = ast.parse(
+        "__all__ = ['exported']\n"
+        "exported = 1\n"
+        "_read = 2\n"
+        "_unread = _read + 1\n"
+        "_a, (_b, _c) = 1, (2, 3)\n"
+        "_alias: type = int\n"
+        "_twice = 1\n"
+        "_twice = 2\n"
+        "_grown = 1\n"
+        "_grown += 1\n"
+        "class _Self:\n"
+        "    kind = 'x'\n"
+        "    def make(self): return _Self()\n"
+        "class _Tested: pass\n"
+        "def f(x: _alias) -> None:\n"
+        "    return _a + _c\n")
+    test = ast.parse("from m import _Tested\n")
+    assert dead_names([module], [test]) == ["_unread", "_b", "_twice", "_grown", "_Self"]
+
+
+def test_every_module_level_name_is_used():
+    def trees(paths):
+        return [ast.parse(path.read_text("utf-8")) for path in paths]
+    assert dead_names(trees(SOURCES), trees(sorted((ROOT / "tests").glob("*.py")))) == []
