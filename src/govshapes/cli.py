@@ -29,7 +29,7 @@ from . import corpus as corpus_data
 from .errors import GovshapesError
 from .governance import Registry, compose, parse_profile
 from .ir import compile_block, parse_ir
-from .rdf import Graph, Iri, Literal, parse_turtle, serialize_turtle
+from .rdf import Graph, Iri, Literal, TermTable, parse_turtle, serialize_turtle
 from .shacl import emit_report_graph, qname
 
 
@@ -103,15 +103,18 @@ def _load_corpus(config: dict, corpus_dir: str | None) -> list[tuple[str, Graph]
         return corpus_data.compiler_corpus()
     pairs = []
     files: dict[str, Path] = {}
+    terms = TermTable()  # one load's parses share their terms
     for path in sorted(Path(directory).glob("*.ttl")):
         case_id = path.stem
         if case_id.startswith("case_"):
             case_id = case_id[len("case_"):]
+        if not case_id:
+            raise GovshapesError(f"case file {path} gives an empty case id")
         if case_id in files:
             raise GovshapesError(f"case id {case_id!r} is given by two files: "
                                  f"{files[case_id]} and {path}")
         files[case_id] = path
-        pairs.append((case_id, parse_turtle(path.read_text("utf-8"))))
+        pairs.append((case_id, parse_turtle(path.read_text("utf-8"), terms)))
     if not pairs:
         raise GovshapesError(f"no .ttl case files under {directory}")
     return pairs

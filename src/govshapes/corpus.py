@@ -22,7 +22,7 @@ from ._record import Record
 from .errors import UnknownCaseError
 from .governance import Registry, parse_profile
 from .ir import IrRecord, parse_ir
-from .rdf import Graph, parse_turtle
+from .rdf import Graph, TermTable, parse_turtle
 
 COMPILER_CASES = ("conform", "missing_explanation", "missing_model_artifact",
                   "disparity_exceeds")
@@ -110,10 +110,15 @@ def default_registry() -> Registry:
     return registry
 
 
+def _parse_cases(case_ids: tuple[str, ...]) -> list[tuple[str, Graph]]:
+    terms = TermTable()  # one load's parses share their terms
+    return [(case_id, parse_turtle(case_source(case_id), terms)) for case_id in case_ids]
+
+
 def compiler_corpus() -> list[tuple[str, Graph]]:
     """The four-case corpus refinement verdicts are computed over."""
-    return [(case_id, parse_turtle(case_source(case_id))) for case_id in COMPILER_CASES]
+    return _parse_cases(COMPILER_CASES)
 
 
 def full_corpus() -> list[tuple[str, Graph]]:
-    return [(case_id, parse_turtle(case_source(case_id))) for case_id in CASE_IDS]
+    return _parse_cases(CASE_IDS)

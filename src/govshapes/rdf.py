@@ -588,6 +588,36 @@ def _tokenize(text: str, token_re: re.Pattern, error) -> list[_Token]:
     return tokens
 
 
+class TermTable:
+    """What the parses made through it share, for as long as its caller
+    holds it: one ``Iri`` per IRI value, and per sequence of ``@prefix``
+    bindings one memo from token text to the IRI or literal it stands for.
+
+    A parse starts in state 0, the prefix map it is given (empty for a
+    Turtle document); ``after`` numbers the state a directive moves to
+    from (previous state, label, namespace), so a switch costs O(1)
+    however many prefixes are bound. A memo holds no error: a prefix a
+    document never declared fails as it fails alone.
+    """
+
+    __slots__ = ("iris", "memos", "_after")
+
+    def __init__(self):
+        self.iris: dict[str, Iri] = {RDF.type.value: RDF.type}  # 'a' is RDF.type
+        self.memos: list[dict[str, Iri | Literal | None]] = [{}]
+        self._after: dict[tuple[int, str, str], int] = {}
+
+    def after(self, state: int, label: str, namespace: str) -> tuple[int, dict]:
+        """The state, and its memo, that binding ``label`` to ``namespace``
+        moves ``state`` to."""
+        key = (state, label, namespace)
+        nxt = self._after.get(key)
+        if nxt is None:
+            nxt = self._after[key] = len(self.memos)
+            self.memos.append({})
+        return nxt, self.memos[nxt]
+
+
 class _Parser:
     """A cursor over the token texts of one language (Turtle or the SPARQL
     subset).
@@ -595,15 +625,17 @@ class _Parser:
     A subclass names its language by three class attributes, ``scan_re``
     and ``token_re`` from ``_token_grammar`` and the syntax error builder
     ``error(text, pos, message)``, and supplies ``parse``; ``prefixes``
-    resolves prefixed names.
+    resolves prefixed names, and ``table``, a ``TermTable``, holds the
+    terms read.
 
     One ``findall`` of the scan form cuts the text into ``tokens``, its
     token texts, and the productions read them by text alone: a string
     keeps its quotes, so punctuation and keywords are tested by equality.
-    ``_term`` resolves each distinct text to its IRI or literal once (a
-    subclass clears ``terms`` when a prefix is bound), and equal IRIs read
-    in one parse are one ``Iri`` object, so dictionary lookups between
-    them stop at the identity test.
+    ``_term`` resolves each distinct text to its IRI or literal once per
+    state of the table (``terms`` is the memo of ``state``, which a
+    subclass moves when a prefix is bound), and equal IRIs read through
+    one table are one ``Iri`` object, so dictionary lookups between them
+    stop at the identity test.
 
     A parse that goes well builds no token object and computes no
     position. Where a parse stops, a production raises ``_Stop``; ``run``
@@ -618,11 +650,13 @@ class _Parser:
     scan_re: re.Pattern
     token_re: str
 
-    def __init__(self, text: str, prefixes: dict[str, str]):
+    def __init__(self, text: str, prefixes: dict[str, str], table: TermTable):
         self.text = text
         self.prefixes = prefixes
-        self.iris: dict[str, Iri] = {RDF.type.value: RDF.type}  # 'a' is RDF.type
-        self.terms: dict[str, Iri | Literal | None] = {}
+        self.table = table
+        self.iris = table.iris
+        self.state = 0
+        self.terms = table.memos[0]
         self.tokens: list[str] = self.scan_re.findall(text)
         self.idx = 0
 
@@ -713,9 +747,9 @@ class _Parser:
 class _TurtleParser(_Parser):
     scan_re, token_re, error = _SCAN_RE, _TOKEN_RE, staticmethod(_syntax_error)
 
-    def __init__(self, source: str):
+    def __init__(self, source: str, table: TermTable):
         self.graph = Graph()
-        super().__init__(source, self.graph._prefixes)
+        super().__init__(source, self.graph._prefixes, table)
         # the graph is new and unread until the parse ends
         self.add = self.graph._triples.add
         self._bnode_counter = 0
@@ -758,7 +792,8 @@ class _TurtleParser(_Parser):
         self.idx += 1
         self._expect(".", "dot")
         self.graph.bind(label[:-1], iri[1:-1])
-        self.terms.clear()  # prefixed names may now stand for other IRIs
+        # prefixed names may now stand for other IRIs
+        self.state, self.terms = self.table.after(self.state, label, iri)
 
     def _triples_block(self):
         # blankNodePropertyList predicateObjectList? : "[ ex:p ex:o ] ." is
@@ -839,14 +874,18 @@ def _is_blank(t: str) -> bool:
     return t[:2] == "_:" and len(t) > 2
 
 
-def parse_turtle(source: str) -> Graph:
+def parse_turtle(source: str, terms: TermTable | None = None) -> Graph:
     """Parse a Turtle document into a Graph.
 
-    Blank node labels are fresh per parse; they never carry identity
-    across documents. Nesting deeper than the interpreter's recursion
-    limit allows is a syntax error.
+    A caller reading many documents makes one ``TermTable`` and passes
+    it as ``terms`` to each parse, which then reuses the IRIs and the
+    resolved token texts of the documents before; alone, a parse makes a
+    fresh table. The graph, its prefix map and the error do not depend on
+    the table. Blank node labels are fresh per parse (``b000`` first in
+    every document); they never carry identity across documents. Nesting
+    deeper than the interpreter's recursion limit allows is a syntax error.
     """
-    return _TurtleParser(source).run()
+    return _TurtleParser(source, TermTable() if terms is None else terms).run()
 
 
 # ---------------------------------------------------------------------------

@@ -49,8 +49,8 @@ from functools import cached_property
 from ._record import Record
 from .errors import (SparqlSyntaxError, TooManySolutionsError, TypeMismatchError,
                      UnboundVariableError)
-from .rdf import (RDF, STANDARD_PREFIXES, XSD, Graph, Iri, Literal, Term, _Parser, _Stop,
-                  _token_grammar, in_lexical_space, is_numeric_literal)
+from .rdf import (RDF, STANDARD_PREFIXES, XSD, Graph, Iri, Literal, Term, TermTable, _Parser,
+                  _Stop, _token_grammar, in_lexical_space, is_numeric_literal)
 
 Binding = dict[str, Term]
 
@@ -196,7 +196,7 @@ class _QueryParser(_Parser):
     scan_re, token_re, error = _SCAN_RE, _TOKEN_RE, staticmethod(_syntax_error)
 
     def __init__(self, text: str, prefixes: dict[str, str]):
-        super().__init__(text, prefixes)
+        super().__init__(text, prefixes, TermTable())
         self.depth = 0  # expression levels around the next operand
 
     def _fail(self, message: str) -> _Stop:

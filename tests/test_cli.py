@@ -424,6 +424,30 @@ def test_corpus_with_a_case_id_given_twice_exits_two(tmp_path, capsys, command):
                             f"{first} and {second}\n")
 
 
+@pytest.mark.parametrize("command", [["refine"], ["bench", "--samples", "30"]])
+def test_corpus_case_file_with_an_empty_case_id_exits_two(tmp_path, capsys, command):
+    write_case(tmp_path, "conform")
+    empty = write_case(tmp_path, "missing_explanation", name="case_.ttl")
+    assert main([*command, "--corpus", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: case file {empty} gives an empty case id\n"
+
+
+@pytest.mark.parametrize("command", [["refine"], ["bench", "--samples", "30"]])
+def test_corpus_files_are_read_and_parsed_in_order(tmp_path, capsys, command):
+    # the second file's syntax error stops the load before the third
+    # file, which is not UTF-8, is read
+    write_case(tmp_path, "conform", name="a.ttl")
+    (tmp_path / "b.ttl").write_text("@prefix ex: <http://example.org/okb#> .\n"
+                                    "ex:s ex:p ex:o ;; .\n@base <x> .\n", "utf-8")
+    (tmp_path / "c.ttl").write_bytes(b"\xff\xfe ex:s ex:p ex:o .\n")
+    assert main([*command, "--corpus", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 3, col 1: @base is not supported\n"
+
+
 def test_refine_empty_corpus_directory(tmp_path, capsys):
     assert main(["refine", "--corpus", str(tmp_path)]) == 2
     assert "no .ttl case files under" in capsys.readouterr().err

@@ -22,6 +22,7 @@ from govshapes.rdf import (
     Graph,
     Iri,
     Literal,
+    TermTable,
     Triple,
     is_numeric_literal,
     parse_turtle,
@@ -438,6 +439,133 @@ def test_parse_fresh_labels_per_document():
     (ta,) = list(a)
     (tb,) = list(b)
     assert isinstance(ta.subject, BlankNode) and isinstance(tb.subject, BlankNode)
+
+
+# ---------------------------------------------------------------------------
+# One term table across documents
+# ---------------------------------------------------------------------------
+
+def _outcome(text: str, terms: TermTable | None = None):
+    """The graph and prefix map ``text`` parses to, or its error's class,
+    message and position."""
+    try:
+        g = parse_turtle(text, terms)
+    except TurtleSyntaxError as err:
+        return err.__class__, str(err), err.line, err.column
+    return g, g.prefixes
+
+
+def _outcomes_agree(texts: list[str]) -> None:
+    terms = TermTable()
+    for text in texts:
+        assert _outcome(text, terms) == _outcome(text)
+
+
+_CASE_TEXTS = [corpus.case_source(case_id) for case_id in corpus.CASE_IDS]
+_PREFIX_LINE_RE = re.compile(r"^@prefix [^\n]*\n", re.M)
+_NAMESPACES = ["http://example.org/okb#", "http://www.w3.org/ns/prov#",
+               "http://www.w3.org/2001/XMLSchema#", "http://other.test/ns#"]
+
+
+@st.composite
+def _documents(draw):
+    """A bundled case, a renamed copy, a blank-node document, or a copy
+    with one prefix line deleted or bound to another namespace."""
+    kind = draw(st.sampled_from(["case", "renamed", "bnodes", "deleted", "rebound"]))
+    if kind == "bnodes":
+        return serialize_turtle(draw(gen.bnode_graphs(max_triples=6)))
+    text = draw(st.sampled_from(_CASE_TEXTS))
+    if kind == "renamed":
+        return text.replace("001", draw(st.sampled_from(["002", "_x", "9"])))
+    if kind == "case":
+        return text
+    line = draw(st.sampled_from(_PREFIX_LINE_RE.findall(text)))
+    if kind == "deleted":
+        return text.replace(line, "")
+    rebound = f"@prefix {line.split()[1]} <{draw(st.sampled_from(_NAMESPACES))}> .\n"
+    if draw(st.booleans()):
+        return text.replace(line, rebound)
+    spot = text.rindex("\n\n") + 1  # bound again before the last statement
+    return text[:spot] + rebound + text[spot:]
+
+
+@given(st.lists(_documents(), min_size=2, max_size=6))
+def test_parse_through_one_table_gives_what_each_parse_alone_gives(texts):
+    _outcomes_agree(texts)
+
+
+def test_parse_prefix_declared_only_by_an_earlier_document_is_undefined():
+    declares = ("@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .\n"
+                '<http://a.test/s> <http://a.test/p> "1"^^xsd:integer .\n')
+    uses = '<http://a.test/s> <http://a.test/p> "1"^^xsd:integer .\n'
+    terms = TermTable()
+    assert len(parse_turtle(declares, terms)) == 1
+    with pytest.raises(TurtleSyntaxError) as err:
+        parse_turtle(uses, terms)
+    assert str(err.value) == "line 1, col 42: undefined prefix 'xsd:'"
+    assert (err.value.line, err.value.column) == (1, 42)
+    _outcomes_agree([declares, uses, declares, uses])
+
+
+def test_parse_one_label_bound_to_two_namespaces_in_two_documents():
+    a = "@prefix ex: <http://a.test/> .\nex:x ex:p ex:y .\n"
+    b = "@prefix ex: <http://b.test/> .\nex:x ex:p ex:y .\n"
+    terms = TermTable()
+    ga, gb = parse_turtle(a, terms), parse_turtle(b, terms)
+    assert {t.subject for t in ga} == {Iri("http://a.test/x")}
+    assert {t.subject for t in gb} == {Iri("http://b.test/x")}
+    assert gb.prefixes == {"ex": "http://b.test/"}
+    _outcomes_agree([a, b, a, b])
+
+
+def test_parse_prefix_rebinding_through_a_shared_table_gives_distinct_iris():
+    text = ("@prefix ex: <http://a.test/> .\nex:x ex:p 1 .\n"
+            "@prefix ex: <http://b.test/> .\nex:x ex:p 2 .")
+    terms = TermTable()
+    parse_turtle("@prefix ex: <http://b.test/> .\nex:x ex:p 0 .", terms)
+    for _ in range(2):
+        g = parse_turtle(text, terms)
+        assert {t.subject for t in g} == {Iri("http://a.test/x"), Iri("http://b.test/x")}
+        assert {t.predicate for t in g} == {Iri("http://a.test/p"), Iri("http://b.test/p")}
+
+
+def test_parse_blank_node_labels_start_afresh_in_each_document():
+    terms = TermTable()
+    for text in ("_:b <http://a.test/p> [ <http://a.test/q> 1 ] .",
+                 "[ <http://a.test/q> 2 ] <http://a.test/p> _:b .") * 2:
+        g = parse_turtle(text, terms)
+        assert {b.label for t in g for b in (t.subject, t.object)
+                if isinstance(b, BlankNode)} == {"b000", "b001"}
+
+
+def test_parse_shares_iris_across_the_documents_of_one_table():
+    terms = TermTable()
+    a = parse_turtle(corpus.case_source("conform"), terms)
+    b = parse_turtle(corpus.case_source("missing_explanation"), terms)
+    (ta,) = a.match(EX.decision001, EX.hasUsageLog)
+    (tb,) = b.match(EX.decision001, EX.hasUsageLog)
+    assert ta.predicate is tb.predicate and ta.object is tb.object
+    assert ta.object is not parse_turtle(corpus.case_source("conform")).match(
+        EX.decision001, EX.hasUsageLog)[0].object
+
+
+@pytest.mark.parametrize("rebound", [False, True])
+def test_parse_time_is_linear_in_prefix_directives(rebound):
+    # 10,000 distinct labels, or one label rebound 10,000 times between
+    # statements; a memo keyed by the whole prefix map costs time
+    # quadratic in the distinct labels
+    if rebound:
+        text = "".join(f"@prefix ex: <http://p.test/{i % 3}/> .\nex:s ex:p ex:o{i} .\n"
+                       for i in range(10_000))
+    else:
+        text = "".join(f"@prefix p{i}: <http://p.test/{i}/> .\n"
+                       for i in range(10_000)) + "p1:a p2:b p3:c .\n"
+    terms = TermTable()
+    for table in (None, terms, terms):
+        start = time.perf_counter()
+        g = parse_turtle(text, table)
+        assert time.perf_counter() - start < 1.0
+        assert len(g) == (10_000 if rebound else 1)
 
 
 def test_parse_comments_and_trailing_semicolon():

@@ -17,8 +17,13 @@ record files ``perfbench/generate.py`` writes for seed 1) ``N`` times
 each, runs every input through each side (one fresh interpreter per
 side, the two at once), and prints how many inputs gave the same outcome
 on both sides, then each class of differing outcomes with its count and
-one example input, and last how many block sources each side read
-without PyYAML (through ``ir._read_flat``, where the side has it). The
+one example input, then how many block sources each side read without
+PyYAML (through ``ir._read_flat``, where the side has it), and last
+whether each side read the Turtle inputs through one term table. Where
+a side's ``parse_turtle`` takes one (``rdf.TermTable``), that side reads
+every Turtle input of the run through the same table, in order, so a
+term that leaks from one document into the next shows as a difference
+against a side that parses each input alone. The
 parent side runs with ``PYTHONHASHSEED=0`` and the change side with
 ``PYTHONHASHSEED=1``, so an outcome that depends on set or dictionary
 order shows up as a difference, and the same seeds reproduce it.
@@ -199,7 +204,7 @@ def _outcome(fn, text: str) -> list[str]:
 
 
 def work(mutations: int, seed: int, outcomes_path: str) -> None:
-    from govshapes import corpus, ir
+    from govshapes import corpus, ir, rdf
     from govshapes.rdf import EX, parse_turtle, serialize_turtle
     from govshapes.shacl import emit_report_graph
     from govshapes.sparql import evaluate, parse_sparql
@@ -208,8 +213,11 @@ def work(mutations: int, seed: int, outcomes_path: str) -> None:
     profiles = corpus.COMPILER_PROFILES + corpus.JURISDICTION_PROFILES
     graphs = [graph for _, graph in corpus.full_corpus()]
 
+    table_class = getattr(rdf, "TermTable", None)  # None where each parse has its own
+    terms = None if table_class is None else table_class()
+
     def turtle(text):
-        g = parse_turtle(text)
+        g = parse_turtle(text) if terms is None else parse_turtle(text, terms)
         parts = [repr(sorted(g.prefixes.items())), repr(g.sorted_triples()),
                  serialize_turtle(g)]
         for profile in profiles:
@@ -240,7 +248,8 @@ def work(mutations: int, seed: int, outcomes_path: str) -> None:
     front_ends = {"turtle": turtle, "sparql": sparql, "blocks": blocks}
     outcomes = [_outcome(front_ends[kind], text)
                 for kind, text in iter_inputs(mutations, seed)]
-    side = {"outcomes": outcomes, "flat_accepted": flat_accepted}
+    side = {"outcomes": outcomes, "flat_accepted": flat_accepted,
+            "term_table": terms is not None}
     Path(outcomes_path).write_text(json.dumps(side), "utf-8")
 
 
@@ -318,6 +327,9 @@ def main() -> None:
         flat = side["flat_accepted"]
         print(f"blocks read by the flat reader, {name}: "
               + ("none (no flat reader)" if flat is None else str(flat)))
+    for name, side in (("parent", parent), ("change", change)):
+        print(f"Turtle inputs read through one term table, {name}: "
+              + ("yes" if side.get("term_table") else "no"))
 
 
 if __name__ == "__main__":
