@@ -26,7 +26,7 @@ import time
 from pathlib import Path
 
 from . import corpus as corpus_data
-from .errors import GovshapesError
+from .errors import GovshapesError, TurtleSyntaxError
 from .governance import Registry, compose, parse_profile
 from .ir import compile_block, parse_ir
 from .rdf import Graph, Iri, Literal, TermTable, parse_turtle, serialize_turtle
@@ -114,7 +114,10 @@ def _load_corpus(config: dict, corpus_dir: str | None) -> list[tuple[str, Graph]
             raise GovshapesError(f"case id {case_id!r} is given by two files: "
                                  f"{files[case_id]} and {path}")
         files[case_id] = path
-        pairs.append((case_id, parse_turtle(path.read_text("utf-8"), terms)))
+        try:
+            pairs.append((case_id, parse_turtle(path.read_text("utf-8"), terms)))
+        except (TurtleSyntaxError, UnicodeDecodeError) as exc:
+            raise GovshapesError(f"{path}: {exc}") from exc
     if not pairs:
         raise GovshapesError(f"no .ttl case files under {directory}")
     return pairs

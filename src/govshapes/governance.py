@@ -15,11 +15,13 @@ message) is also detected by P1. Equivalence is refinement both ways.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from ._record import Record
 from .errors import (ConflictingShapeBodiesError, SchemaError, UnknownBlockError,
                      UnknownProfileError)
 from .ir import KnowledgeBlock, merge_severity, parse_ir, compile_block
-from .rdf import STANDARD_PREFIXES, Graph, union
+from .rdf import STANDARD_PREFIXES, Graph
 from .shacl import (NodeShape, ValidationReport, Violation, _in_report_order,
                     shape_violations, validate)
 from .sparql import EvalDiagnostic
@@ -82,8 +84,12 @@ def compose(blocks: list[KnowledgeBlock]) -> KnowledgeBlock:
     """Component-wise union of blocks.
 
     Same-IRI shapes collapse to one occurrence; their bodies must agree
-    (severity excepted, which merges upward). Composing nothing yields
-    the empty block.
+    (severity excepted, which merges upward). So the composed shapes have
+    distinct IRIs, as ``document_graph`` requires. An occurrence kept as
+    it is keeps the triples it was emitted as; one whose severity rises
+    is a new ``NodeShape``, which is emitted afresh. The concept graphs
+    are unioned into one triple set, a prefix bound by an earlier block
+    (or the standard one) winning. Composing nothing yields the empty block.
     """
     by_iri: dict[str, list[NodeShape]] = {}
     for block in blocks:
@@ -91,9 +97,11 @@ def compose(blocks: list[KnowledgeBlock]) -> KnowledgeBlock:
             by_iri.setdefault(shape.iri.value, []).append(shape)
     shapes = tuple(_merged_shape(by_iri[key]) for key in sorted(by_iri))
 
-    concepts = Graph(prefixes=dict(STANDARD_PREFIXES))
+    prefixes = dict(STANDARD_PREFIXES)
     for block in blocks:
-        concepts = union(concepts, block.concepts)
+        for label, namespace in block.concepts.prefixes.items():
+            prefixes.setdefault(label, namespace)
+    concepts = Graph(chain.from_iterable(b.concepts._triples for b in blocks), prefixes)
 
     return KnowledgeBlock(
         name="+".join(sorted({b.name for b in blocks})) if blocks else "empty",

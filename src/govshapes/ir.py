@@ -23,14 +23,15 @@ same records it always did.
 from __future__ import annotations
 
 import re
+from itertools import chain
 
 from ._record import Record
 from .errors import DuplicateIdError, SchemaError, UnknownPrefixError
 from .rdf import (_IRIREF_RE, _SCHEME_RE, EX, PROV, RDF, RDFS, STANDARD_PREFIXES,
-                  Graph, Iri, Triple, _iri_text, union)
+                  Graph, Iri, Triple, _iri_text)
 from .shacl import (Datatype, MinCount, NodeShape,
                     QualifiedMinCountClass, Severity, SparqlConstraint,
-                    _constraint_sort_key, emit_shapes_graph)
+                    _constraint_sort_key, _shape_triples, emit_shapes_graph)
 from .sparql import TriplePattern, Var, parse_sparql
 
 _ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -111,12 +112,20 @@ def _need_str(item: dict, key: str, where: str) -> str:
     return value
 
 
-def _name(item: dict, key: str, where: str, required: bool = True) -> Iri | None:
+def _name(item: dict, key: str, where: str, names: dict[str, Iri],
+          required: bool = True) -> Iri | None:
     """The IRI that field ``key`` names; None when it is absent and not
-    ``required``."""
+    ``required``. ``names`` maps each text one source has resolved to its
+    IRI, so a source resolves a name once and its records share one
+    ``Iri``; a text that does not resolve raises at the first record
+    that gives it."""
     if not required and key not in item:
         return None
-    return _resolve_name(_need_str(item, key, where), f"{where} {key}")
+    text = _need_str(item, key, where)
+    iri = names.get(text)
+    if iri is None:
+        iri = names[text] = _resolve_name(text, f"{where} {key}")
+    return iri
 
 
 # The flat layout _read_flat reads: a field line, and the plain values
@@ -272,6 +281,7 @@ def parse_ir(text: str) -> list[IrRecord]:
         raise SchemaError("block source must be a sequence of records")
     records: list[IrRecord] = []
     seen: dict[str, int] = {}
+    names: dict[str, Iri] = {}  # this source's resolved names
     for index, item in enumerate(doc):
         where = f"record {index}"
         if not isinstance(item, dict):
@@ -281,7 +291,7 @@ def parse_ir(text: str) -> list[IrRecord]:
                 raise SchemaError(f"{where}: unknown field {key!r}")
             if not isinstance(value, (str, int, float)) or isinstance(value, bool):
                 raise SchemaError(f"{where}: field {key!r} must be a scalar")
-        record = _build_record(item, where)
+        record = _build_record(item, where, names)
         if record.obligation_id in seen:
             raise DuplicateIdError(
                 f"duplicate obligation_id {record.obligation_id!r} "
@@ -291,13 +301,13 @@ def parse_ir(text: str) -> list[IrRecord]:
     return records
 
 
-def _build_record(item: dict, where: str) -> IrRecord:
+def _build_record(item: dict, where: str, names: dict[str, Iri]) -> IrRecord:
     obligation_id = _need_str(item, "obligation_id", where)
     if not _ID_RE.fullmatch(obligation_id):
         raise SchemaError(f"{where}: obligation_id {obligation_id!r} "
                           "must be a plain identifier")
     where = f"record {obligation_id!r}"
-    target_class = _name(item, "target_class", where)
+    target_class = _name(item, "target_class", where, names)
     constraint_type = _need_str(item, "constraint_type", where)
     if constraint_type not in ("structural", "sparql"):
         raise SchemaError(f"{where}: constraint_type must be "
@@ -320,9 +330,9 @@ def _build_record(item: dict, where: str) -> IrRecord:
                           f"{constraint_type} records")
 
     if constraint_type == "structural":
-        relation = _name(item, "relation", where)
-        datatype = _name(item, "datatype", where, required=False)
-        value_class = _name(item, "value_class", where, required=False)
+        relation = _name(item, "relation", where, names)
+        datatype = _name(item, "datatype", where, names, required=False)
+        value_class = _name(item, "value_class", where, names, required=False)
         min_count = 1
         if "min_count" in item:
             if not isinstance(item["min_count"], int) or item["min_count"] < 0:
@@ -334,7 +344,7 @@ def _build_record(item: dict, where: str) -> IrRecord:
                         value_class=value_class, min_count=min_count)
 
     sparql_text = _need_str(item, "sparql_text", where)
-    threshold_ref = _name(item, "threshold_ref", where, required=False)
+    threshold_ref = _name(item, "threshold_ref", where, names, required=False)
     if _THRESHOLD_PLACEHOLDER in sparql_text:
         if threshold_ref is None:
             raise SchemaError(f"{where}: query uses {_THRESHOLD_PLACEHOLDER} "
@@ -366,8 +376,16 @@ class KnowledgeBlock(Record):
         return emit_shapes_graph(list(self.shapes))
 
     def document_graph(self) -> Graph:
-        """Shapes plus concept declarations, the on-disk block content."""
-        return union(self.shapes_graph(), self.concepts)
+        """Shapes plus concept declarations, the on-disk block content.
+
+        One triple set is built from each shape's kept triples
+        (``NodeShape._triples``, labelled from its IRI) and the concept
+        triples, with the standard prefixes bound over the concepts'.
+        A shape IRI given twice must come with one body, as
+        ``emit_shapes_graph`` requires.
+        """
+        return Graph(chain(self.concepts._triples, _shape_triples(self.shapes)),
+                     prefixes={**self.concepts.prefixes, **STANDARD_PREFIXES})
 
 
 def empty_block(name: str = "empty") -> KnowledgeBlock:

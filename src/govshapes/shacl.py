@@ -15,23 +15,24 @@ canonical term order, and runs each shape's plan on every instance: one
 check per constraint, in the shape's constraint order, with its family
 dispatched and its message resolved when the shape is first validated.
 The plan is kept on the ``NodeShape``, out of ``==``, ``hash``,
-``repr`` and pickles. Diagnostics come shape by shape, focus node by
-focus node and solution by solution; results are reported sorted on a
-stable key, so a report is a pure function of (shapes, data). No
-inference is applied: instances must be explicitly typed with the
-target class.
+``repr`` and pickles, as are the triples the shape is emitted as.
+Diagnostics come shape by shape, focus node by focus node and solution
+by solution; results are reported sorted on a stable key, so a report
+is a pure function of (shapes, data). No inference is applied:
+instances must be explicitly typed with the target class.
 """
 
 from __future__ import annotations
 
 import enum
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
 from functools import cached_property
+from itertools import chain
 
 from ._record import Record
-from .errors import (MalformedShapeError, TooManySolutionsError,
-                     UnsupportedConstraintError)
+from .errors import (ConflictingShapeBodiesError, MalformedShapeError,
+                     TooManySolutionsError, UnsupportedConstraintError)
 from .rdf import (RDF, SH, STANDARD_PREFIXES, XSD, BlankNode, Graph, Iri,
                   Literal, Term, Triple, in_lexical_space, term_sort_key)
 from .sparql import EvalDiagnostic, SparqlQuery, evaluate, parse_sparql
@@ -148,6 +149,19 @@ def _default_message(c: Constraint) -> str:
 
 
 class NodeShape(Record):
+    """A node shape: its IRI, target class, constraints in the order both
+    producers sort them, severity and shape-level message.
+
+    Two things are built from the fields on first use and kept beside
+    them, out of ``==``, ``hash``, ``repr`` and pickles: ``_plan``, the
+    checks validation runs, and ``_triples``, the triples
+    ``emit_shapes_graph`` renders the shape as. Their blank nodes are
+    labelled from the shape IRI and a constraint index, so a shapes graph
+    holds each body of an IRI once and must not be given two. Fields are
+    frozen: a shape with another severity, as ``compose`` may raise it,
+    is a new ``NodeShape`` and builds both of its own.
+    """
+
     iri: Iri
     target_class: Iri
     constraints: tuple[Constraint, ...]
@@ -166,6 +180,12 @@ class NodeShape(Record):
         """One check per constraint, in order, built on first use and kept
         beside the fields, out of ``==``, ``hash``, ``repr`` and pickles."""
         return tuple(_constraint_check(self, c) for c in self.constraints)
+
+    @cached_property
+    def _triples(self) -> tuple[Triple, ...]:
+        """The triples ``emit_shapes_graph`` renders the shape as, built
+        on first use and kept like the plan."""
+        return tuple(_emitted_triples(self))
 
 
 class Violation(Record):
@@ -382,52 +402,77 @@ def _load_sparql(graph: Graph, node: Term, label: str) -> SparqlConstraint:
 # ---------------------------------------------------------------------------
 
 def emit_shapes_graph(shapes: list[NodeShape]) -> Graph:
-    """Inverse of load_shapes: render shapes as a graph.
+    """Inverse of load_shapes: render shapes as a graph, one set built
+    from each shape's kept triples (``NodeShape._triples``).
+
+    A shape whose IRI the list names again with an equal body is emitted
+    once; with an unequal body, ConflictingShapeBodiesError is raised, as
+    ``compose`` does, since the two bodies would otherwise share their
+    IRI's blank nodes and merge.
+    """
+    return Graph(_shape_triples(shapes), prefixes=dict(STANDARD_PREFIXES))
+
+
+def _shape_triples(shapes: Iterable[NodeShape]) -> Iterator[Triple]:
+    """The kept triples of each distinct shape of ``shapes``, after the
+    check that no IRI is given two bodies (see emit_shapes_graph)."""
+    by_iri: dict[str, NodeShape] = {}
+    for shape in shapes:
+        first = by_iri.setdefault(shape.iri.value, shape)
+        if first is not shape and first != shape:
+            raise ConflictingShapeBodiesError(
+                f"shape {shape.iri.value} is given twice with different bodies")
+    return chain.from_iterable(shape._triples for shape in by_iri.values())
+
+
+def _emitted_triples(shape: NodeShape) -> Iterator[Triple]:
+    """The triples of one shape in a shapes graph.
 
     Nodes follow the order of the shape's constraints, which both
     producers sort. Structural constraints sharing a path and message
     collapse into one property node, the grouping the loader splits
-    apart, so that emit(load(emit(x))) is stable. The default severity is
-    left implicit rather than asserted.
+    apart, so that emit(load(emit(x))) is stable. A node is labelled by
+    the shape IRI and the index of its first constraint: ``<iri>#p003``
+    for a property node (``<iri>#p003q`` for its qualified value shape)
+    and ``<iri>#q004`` for a query node, so equal shapes give equal
+    triples wherever they stand. The default severity is left implicit
+    rather than asserted.
     """
-    g = Graph(prefixes=dict(STANDARD_PREFIXES))
-    for i, shape in enumerate(shapes):
-        g.add(Triple(shape.iri, RDF.type, SH.NodeShape))
-        g.add(Triple(shape.iri, SH.targetClass, shape.target_class))
-        if shape.message is not None:
-            g.add(Triple(shape.iri, SH.message, Literal(shape.message)))
-        if shape.severity is not Severity.VIOLATION:
-            g.add(Triple(shape.iri, SH.severity, shape.severity.iri))
-        # (path, message) -> the property node of the constraints sharing them
-        nodes: dict[tuple, BlankNode] = {}
-        for j, c in enumerate(shape.constraints):
-            if isinstance(c, SparqlConstraint):
-                node = BlankNode(f"s{i:03d}q{j:03d}")
-                g.add(Triple(shape.iri, SH.sparql, node))
-                g.add(Triple(node, RDF.type, SH.SPARQLConstraint))
-                g.add(Triple(node, SH.select, Literal(c.select)))
-            elif (c.path.value, c.message) in nodes:
-                node = nodes[c.path.value, c.message]
-            else:
-                node = nodes[c.path.value, c.message] = BlankNode(f"s{i:03d}p{j:03d}")
-                g.add(Triple(shape.iri, SH.property, node))
-                g.add(Triple(node, SH.path, c.path))
-            if c.message is not None:
-                g.add(Triple(node, SH.message, Literal(c.message)))
-            if type(c) in _FACET_OF:
-                facet, field = _FACET_OF[type(c)]
-                value = getattr(c, field)
-                g.add(Triple(node, facet, Literal(str(value), XSD.integer)
-                             if field == "count" else value))
-            elif isinstance(c, NodeKindIri):
-                g.add(Triple(node, SH.nodeKind, SH.IRI))
-            elif isinstance(c, QualifiedMinCountClass):
-                qvs = BlankNode(f"{node.label}q")
-                g.add(Triple(node, SH.qualifiedValueShape, qvs))
-                g.add(Triple(qvs, _SH_CLASS, c.cls))
-                g.add(Triple(node, SH.qualifiedMinCount,
-                             Literal(str(c.count), XSD.integer)))
-    return g
+    iri = shape.iri
+    yield Triple(iri, RDF.type, SH.NodeShape)
+    yield Triple(iri, SH.targetClass, shape.target_class)
+    if shape.message is not None:
+        yield Triple(iri, SH.message, Literal(shape.message))
+    if shape.severity is not Severity.VIOLATION:
+        yield Triple(iri, SH.severity, shape.severity.iri)
+    # (path, message) -> the property node of the constraints sharing them
+    nodes: dict[tuple, BlankNode] = {}
+    for j, c in enumerate(shape.constraints):
+        if isinstance(c, SparqlConstraint):
+            node = BlankNode(f"<{iri.value}>#q{j:03d}")
+            yield Triple(iri, SH.sparql, node)
+            yield Triple(node, RDF.type, SH.SPARQLConstraint)
+            yield Triple(node, SH.select, Literal(c.select))
+        elif (c.path.value, c.message) in nodes:
+            node = nodes[c.path.value, c.message]
+        else:
+            node = nodes[c.path.value, c.message] = BlankNode(f"<{iri.value}>#p{j:03d}")
+            yield Triple(iri, SH.property, node)
+            yield Triple(node, SH.path, c.path)
+        if c.message is not None:
+            yield Triple(node, SH.message, Literal(c.message))
+        if type(c) in _FACET_OF:
+            facet, field = _FACET_OF[type(c)]
+            value = getattr(c, field)
+            yield Triple(node, facet, Literal(str(value), XSD.integer)
+                         if field == "count" else value)
+        elif isinstance(c, NodeKindIri):
+            yield Triple(node, SH.nodeKind, SH.IRI)
+        elif isinstance(c, QualifiedMinCountClass):
+            qvs = BlankNode(f"{node.label}q")
+            yield Triple(node, SH.qualifiedValueShape, qvs)
+            yield Triple(qvs, _SH_CLASS, c.cls)
+            yield Triple(node, SH.qualifiedMinCount, Literal(str(c.count), XSD.integer))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Hypothesis strategies for graphs and terms.
+"""Hypothesis strategies for graphs, terms, block sources and node shapes.
 
 Generated terms stay inside what the Turtle dialect can write and read
 back: absolute IRIs without reserved characters, lowercase language
@@ -10,6 +10,10 @@ equality is label-sensitive and only serialization is label-free.
 from hypothesis import strategies as st
 
 from govshapes.rdf import EX, XSD, BlankNode, Graph, Iri, Literal, Triple
+from govshapes.shacl import (ClassConstraint, Datatype, MaxCount, MinCount, NodeKindIri,
+                             NodeShape, QualifiedMinCountClass, Severity, SparqlConstraint,
+                             _constraint_sort_key)
+from govshapes.sparql import parse_sparql
 
 _LOCAL = st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,6}", fullmatch=True)
 
@@ -132,3 +136,33 @@ def flat_sources(draw, max_records=3):
                 lines.append(draw(_BETWEEN))
     newline = draw(st.sampled_from(["\n"] * 5 + ["\r\n"]))
     return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+_PATHS = st.sampled_from([EX.p, EX.q, EX.r])
+_CLASSES = st.sampled_from([EX.A, EX.B])
+_MESSAGES = st.sampled_from([None, None, "Needs a value.", "Too many."])
+_COUNTS = st.integers(0, 3)
+_QUERIES = st.sampled_from([
+    "SELECT $this WHERE { $this ex:a ?a . FILTER(?a > 1) }",
+    "SELECT $this ?value WHERE { $this ex:b ?value ; ex:a ?a . FILTER(?a != ?value) }",
+])
+constraints = st.one_of(
+    st.builds(MinCount, _PATHS, _COUNTS, _MESSAGES),
+    st.builds(MaxCount, _PATHS, _COUNTS, _MESSAGES),
+    st.builds(Datatype, _PATHS, st.sampled_from([XSD.string, XSD.integer]), _MESSAGES),
+    st.builds(ClassConstraint, _PATHS, _CLASSES, _MESSAGES),
+    st.builds(NodeKindIri, _PATHS, _MESSAGES),
+    st.builds(QualifiedMinCountClass, _PATHS, _CLASSES, _COUNTS, _MESSAGES),
+    st.builds(lambda text, message: SparqlConstraint(text, parse_sparql(text), message),
+              _QUERIES, _MESSAGES),
+)
+
+
+@st.composite
+def node_shapes(draw):
+    """Node shapes with their constraints in the order both producers
+    sort them, named from a pool of six IRIs."""
+    found = draw(st.lists(constraints, min_size=1, max_size=4, unique=True))
+    found.sort(key=_constraint_sort_key)
+    return NodeShape(EX.term(f"S{draw(st.integers(0, 5))}Shape"), draw(_CLASSES),
+                     tuple(found), draw(st.sampled_from(list(Severity))), draw(_MESSAGES))

@@ -445,7 +445,19 @@ def test_corpus_files_are_read_and_parsed_in_order(tmp_path, capsys, command):
     assert main([*command, "--corpus", str(tmp_path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: line 3, col 1: @base is not supported\n"
+    assert captured.err == (f"error: {tmp_path / 'b.ttl'}: "
+                            "line 3, col 1: @base is not supported\n")
+
+
+@pytest.mark.parametrize("command", [["refine"], ["bench", "--samples", "30"]])
+def test_corpus_case_file_that_is_not_utf8_is_named(tmp_path, capsys, command):
+    write_case(tmp_path, "conform", name="a.ttl")
+    (tmp_path / "b.ttl").write_bytes(b"ex:s ex:p \"caf\xe9\" .\n")
+    assert main([*command, "--corpus", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {tmp_path / 'b.ttl'}: 'utf-8' codec can't decode "
+                            "byte 0xe9 in position 14: invalid continuation byte\n")
 
 
 def test_refine_empty_corpus_directory(tmp_path, capsys):

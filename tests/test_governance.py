@@ -1,5 +1,8 @@
 """Profiles, composition algebra, and the refinement analyzer."""
 
+import pickle
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,7 +12,7 @@ from govshapes.errors import (ConflictingShapeBodiesError, SchemaError,
 from govshapes.governance import (Profile, Registry, compose,
                                   parse_profile, serialize_profile)
 from govshapes.ir import KnowledgeBlock, compile_block, empty_block, parse_ir
-from govshapes.rdf import EX, Graph, parse_turtle, serialize_turtle
+from govshapes.rdf import EX, SH, Graph, parse_turtle, serialize_turtle
 from govshapes.shacl import Severity, shape_violations, validate
 
 BLOCKS = {name: compile_block(parse_ir(corpus.block_source(name)), name)
@@ -106,6 +109,30 @@ def test_compose_merges_severity_upward():
     assert shape.severity is Severity.VIOLATION
     kb2 = compose([variant_block("Info"), variant_block("Warning")])
     assert kb2.shapes[0].severity is Severity.WARNING
+
+
+def test_a_shape_whose_severity_rises_is_emitted_afresh():
+    warning, violation = variant_block("Warning"), variant_block("Violation")
+    assert warning.document_graph().match(None, SH.severity, SH.Warning)
+    document = compose([warning, violation]).document_graph()
+    assert document.match(None, SH.severity) == []
+    assert document == violation.document_graph()
+
+
+def test_composed_documents_do_not_depend_on_warm_shape_triples():
+    subsets = [names for size in range(1, len(corpus.BLOCK_NAMES) + 1)
+               for names in combinations(corpus.BLOCK_NAMES, size)]
+    for block in BLOCKS.values():
+        block.document_graph()
+    assert all("_triples" in shape.__dict__
+               for block in BLOCKS.values() for shape in block.shapes)
+    for names in subsets:
+        warm = serialize_turtle(compose(blocks_named(names)).document_graph())
+        # pickles hold the fields alone, so the copies' shapes start cold
+        fresh = [pickle.loads(pickle.dumps(block)) for block in blocks_named(names)]
+        assert not any("_triples" in shape.__dict__
+                       for block in fresh for shape in block.shapes)
+        assert serialize_turtle(compose(fresh).document_graph()) == warm
 
 
 def test_compose_rejects_conflicting_bodies():

@@ -189,6 +189,56 @@ def test_parse_rejects_unknown_prefix():
         records(MINIMAL.replace("ex:Decision", "foo:Decision"))
 
 
+TWO_RECORDS = """
+    - obligation_id: R1
+      target_class: ex:Decision
+      constraint_type: structural
+      relation: ex:hasUsageLog
+      datatype: xsd:string
+      message: Needs a log.
+    - obligation_id: R2
+      target_class: ex:UsageLog
+      constraint_type: structural
+      relation: ex:hasUsageLog
+      datatype: xsd:string
+      value_class: ex:Decision
+      message: Needs a decision.
+"""
+
+
+def test_records_of_one_source_share_one_iri_per_name(monkeypatch):
+    resolved, resolve = [], ir._resolve_name
+
+    def counting_resolve(value, where):
+        resolved.append(value)
+        return resolve(value, where)
+
+    monkeypatch.setattr(ir, "_resolve_name", counting_resolve)
+    first, second = records(TWO_RECORDS)
+    assert resolved == ["ex:Decision", "ex:hasUsageLog", "xsd:string", "ex:UsageLog"]
+    assert second.relation is first.relation and second.datatype is first.datatype
+    assert second.value_class is first.target_class
+    # another source, even of the same text, resolves its names afresh
+    again, _ = records(TWO_RECORDS)
+    assert again == first
+    assert not {id(again.target_class), id(again.relation), id(again.datatype)} & {
+        id(first.target_class), id(first.relation), id(first.datatype)}
+    assert len(resolved) == 8
+
+
+@pytest.mark.parametrize("old, new, error, message", [
+    # a bad name fails at its first record, with that record's field
+    ("ex:Decision", "foo:Decision", UnknownPrefixError,
+     "record 'R1' target_class: unknown prefix 'foo' in 'foo:Decision'"),
+    ("xsd:string", "xsd:str ing", SchemaError,
+     "record 'R1' datatype: 'xsd:str ing' is not a valid absolute IRI"),
+])
+def test_a_name_repeated_across_records_fails_at_its_first(old, new, error, message):
+    with pytest.raises(error) as info:
+        records(TWO_RECORDS.replace(old, new))
+    assert str(info.value) == message
+
+
 def test_parse_rejects_unparseable_yaml():
     with pytest.raises(SchemaError, match="not parseable as YAML"):
         parse_ir("- foo: [unclosed")

@@ -4,11 +4,13 @@ import pickle
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracle
+import strategies as gen
 from govshapes import corpus
-from govshapes.errors import (MalformedShapeError, TooManySolutionsError,
-                              UnsupportedConstraintError)
+from govshapes.errors import (ConflictingShapeBodiesError, MalformedShapeError,
+                              TooManySolutionsError, UnsupportedConstraintError)
 from govshapes.ir import compile_block, parse_ir
 from govshapes.rdf import (
     EX,
@@ -22,6 +24,7 @@ from govshapes.rdf import (
     Triple,
     parse_turtle,
     serialize_turtle,
+    union,
 )
 from govshapes.shacl import (
     ClassConstraint,
@@ -529,6 +532,42 @@ def test_emit_omits_default_severity():
     warn = NodeShape(EX.S, EX.T, (MinCount(EX.p, 1),), severity=Severity.WARNING)
     g2 = emit_shapes_graph([warn])
     assert g2.match(None, SH.severity, SH.Warning)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(gen.node_shapes(), max_size=6, unique_by=lambda s: s.iri.value), st.data())
+def test_emit_of_shapes_with_distinct_iris_is_the_union_of_their_emits(shapes, data):
+    cut = data.draw(st.integers(0, len(shapes)))
+    a, b = shapes[:cut], shapes[cut:]
+    whole = emit_shapes_graph(a + b)
+    parts = union(emit_shapes_graph(a), emit_shapes_graph(b))
+    assert whole == parts and whole.prefixes == parts.prefixes
+    assert serialize_turtle(whole) == serialize_turtle(parts)
+
+
+def test_emit_gives_a_repeated_shape_once():
+    shapes = full_shape_set()
+    copies = [pickle.loads(pickle.dumps(s)) for s in shapes]
+    g = emit_shapes_graph(shapes + copies[::-1] + shapes[:1])
+    assert g == emit_shapes_graph(shapes)
+    assert len(g.match(None, SH.property)) == 3
+    assert load_shapes(g) == sorted(shapes, key=lambda s: s.iri.value)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("severity", Severity.WARNING),
+    ("message", "Another message."),
+    ("constraints", (MinCount(EX.ts, 1, "Needs a timestamp."), Datatype(EX.ts, XSD.dateTime))),
+])
+def test_emit_refuses_one_iri_with_two_bodies(field, value):
+    shapes = full_shape_set()
+    first = shapes[1]
+    fields = {name: getattr(first, name) for name in NodeShape._fields}
+    other = NodeShape(**{**fields, field: value})
+    with pytest.raises(ConflictingShapeBodiesError) as info:
+        emit_shapes_graph([*shapes, other])
+    assert str(info.value) == ("shape http://example.org/okb#A2Shape is given twice "
+                               "with different bodies")
 
 
 def test_conforming_report_graph_is_two_triples():

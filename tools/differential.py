@@ -33,7 +33,10 @@ a digest of its triples, prefixes and canonical serialization and of
 its report graph and diagnostics under every bundled profile. A query's
 value is a digest of its parse, of ``hash`` and ``==`` against a second
 parse, and of its solutions and diagnostics for every focus node of the
-bundled cases. A block source's value is a digest of its parsed records.
+bundled cases. A block source's value is a digest of its parsed records
+and of the canonical Turtle of two documents: the block compiled from
+them, and its composition with the bundled ``accountability`` and
+``fairness_transparency`` blocks.
 An exception is its class and message; a class of differing outcomes
 names both sides by the first line of each message, with digits
 blanked.
@@ -62,6 +65,7 @@ ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "src" / "govshapes" / "data"
 QUERY_SEEDS = range(1, 11)
 BLOCK_SEED = 1
+COMPOSED_BLOCKS = ("accountability", "fairness_transparency")
 
 # What one edit may insert: punctuation, terms, escapes, keywords, layout
 # characters either lexer may reject, runs deep enough to nest past any
@@ -204,7 +208,7 @@ def _outcome(fn, text: str) -> list[str]:
 
 
 def work(mutations: int, seed: int, outcomes_path: str) -> None:
-    from govshapes import corpus, ir, rdf
+    from govshapes import corpus, governance, ir, rdf
     from govshapes.rdf import EX, parse_turtle, serialize_turtle
     from govshapes.shacl import emit_report_graph
     from govshapes.sparql import evaluate, parse_sparql
@@ -239,11 +243,17 @@ def work(mutations: int, seed: int, outcomes_path: str) -> None:
     read_flat = getattr(ir, "_read_flat", None)  # None where PyYAML reads all
     flat_accepted = None if read_flat is None else 0
 
+    bundled = [registry.block(name) for name in COMPOSED_BLOCKS]
+
     def blocks(text):
         nonlocal flat_accepted
         if read_flat is not None and read_flat(text) is not None:
             flat_accepted += 1
-        return [repr(ir.parse_ir(text))]
+        records = ir.parse_ir(text)
+        block = ir.compile_block(records, "mutated")
+        composed = governance.compose([block, *bundled])
+        return [repr(records), serialize_turtle(block.document_graph()),
+                serialize_turtle(composed.document_graph())]
 
     front_ends = {"turtle": turtle, "sparql": sparql, "blocks": blocks}
     outcomes = [_outcome(front_ends[kind], text)
