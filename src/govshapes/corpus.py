@@ -53,8 +53,12 @@ class EvidenceCase(Record):
     expected: dict[str, tuple[bool, int]]
 
 
+# the package's data directory, resolved once for every file read from it
+_DATA = resources.files("govshapes") / "data"
+
+
 def _data_text(relative: str) -> str:
-    return (resources.files("govshapes") / "data" / relative).read_text("utf-8")
+    return (_DATA / relative).read_text("utf-8")
 
 
 def goldens() -> dict:

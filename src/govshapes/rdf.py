@@ -254,6 +254,7 @@ _sort_key = attrgetter("_key")  # term_sort_key, without a Python call
 # triple_sort_key on the triples of a bucket, which share the positions left out
 _by_object = attrgetter("object._key")
 _by_subject_predicate = attrgetter("subject._key", "predicate._key")
+_RDF_TYPE = RDF.type.value
 
 
 def _sorted_bucket(index: dict, key: Term, order) -> tuple[Triple, ...]:
@@ -275,12 +276,16 @@ class Graph:
 
     The first read after the last ``add`` builds two hash indexes in one
     pass over the triple set, without sorting it: subject -> predicate ->
-    triples (the SPO layout of Hexastore) and object -> triples. The
-    validator, the query engine and the serializer all read these. Each
-    bucket starts as a list in set order. The first ``match`` that reads a
-    bucket sorts it into canonical order, by the positions its triples do
-    not share, and stores the sorted tuple in its place in one assignment,
-    as the indexes are stored; the serializer sorts copies only. So a
+    triples (the SPO layout of Hexastore), which the validator, the query
+    engine and the serializer read, and the class index, class -> its
+    ``rdf:type`` triples, which ``subjects_of_type`` reads. An object
+    index, object -> triples, is built in a pass of its own by the first
+    ``match`` that needs it: one with no subject and an object but a
+    predicate other than ``rdf:type``. Each bucket starts as a list in
+    set order. The first ``match`` that reads a bucket sorts it into
+    canonical order, by the positions its triples do not share, and
+    stores the sorted tuple in its place in one assignment, as the
+    indexes are stored; the serializer sorts copies only. So a
     concurrent reader finds a bucket unsorted, and sorts it as well, or
     sorted, never half sorted. The sorted list of every triple is built
     only for ``sorted_triples``, iteration and a ``match`` with neither
@@ -289,8 +294,9 @@ class Graph:
     ``match`` with a subject reads that subject's predicate map: with the
     predicate too it is two dictionary lookups and a copy of the bucket;
     without it, the subject's predicates are sorted on each such read.
-    Without a subject it filters the object's bucket, or with no object
-    the sorted list, by the predicate given.
+    Without a subject it reads the class's bucket for ``rdf:type``, and
+    otherwise filters the object's bucket, or with no object the sorted
+    list, by the predicate given.
     """
 
     def __init__(self, triples=(), prefixes: dict[str, str] | None = None):
@@ -298,6 +304,7 @@ class Graph:
         self._prefixes: dict[str, str] = dict(prefixes or {})
         self._sorted: list[Triple] | None = None
         self._index: tuple[_SubjectIndex, _Index] | None = None
+        self._by_o: _Index | None = None
 
     @property
     def prefixes(self) -> dict[str, str]:
@@ -311,6 +318,7 @@ class Graph:
             self._triples.add(triple)
             self._sorted = None
             self._index = None
+            self._by_o = None
 
     def __len__(self) -> int:
         return len(self._triples)
@@ -335,15 +343,25 @@ class Graph:
         return self._sorted
 
     def _indexes(self) -> tuple[_SubjectIndex, _Index]:
-        """The subject-predicate and object indexes, built from the triple
+        """The subject-predicate and class indexes, built from the triple
         set in one pass, their buckets unsorted."""
         by_sp: _SubjectIndex = {}
+        by_class: _Index = {}
+        for t in self._triples:
+            p = t.predicate
+            by_sp.setdefault(t.subject, {}).setdefault(p, []).append(t)
+            if p.value == _RDF_TYPE:
+                by_class.setdefault(t.object, []).append(t)
+        index = self._index = (by_sp, by_class)
+        return index
+
+    def _object_index(self) -> _Index:
+        """The object index, built from the triple set, its buckets unsorted."""
         by_o: _Index = {}
         for t in self._triples:
-            by_sp.setdefault(t.subject, {}).setdefault(t.predicate, []).append(t)
             by_o.setdefault(t.object, []).append(t)
-        index = self._index = (by_sp, by_o)
-        return index
+        self._by_o = by_o
+        return by_o
 
     def match(self, s: Term | None = None, p: Term | None = None,
               o: Term | None = None) -> list[Triple]:
@@ -353,7 +371,7 @@ class Graph:
         is returned in canonical order so downstream joins stay
         deterministic.
         """
-        by_sp, by_o = self._index or self._indexes()
+        by_sp, by_class = self._index or self._indexes()
         if s is not None:
             by_pred = by_sp.get(s, _EMPTY)
             if p is not None:
@@ -362,8 +380,13 @@ class Graph:
             return [t for pred in sorted(by_pred, key=_sort_key)
                     for t in _sorted_bucket(by_pred, pred, _by_object)
                     if o is None or t.object == o]
-        found = (self.sorted_triples() if o is None
-                 else _sorted_bucket(by_o, o, _by_subject_predicate))
+        if o is None:
+            found = self.sorted_triples()
+        elif p == RDF.type:
+            return list(_sorted_bucket(by_class, o, _by_subject_predicate))
+        else:
+            found = _sorted_bucket(self._by_o or self._object_index(), o,
+                                   _by_subject_predicate)
         return list(found) if p is None else [t for t in found if t.predicate == p]
 
     def subjects_of_type(self, cls: Iri) -> list[Term]:
@@ -895,13 +918,15 @@ def parse_turtle(source: str, terms: TermTable | None = None) -> Graph:
 class _Serializer:
     """The canonical text of one graph.
 
-    It reads the graph's indexes, building them if no read has yet:
-    ``by_subject`` (subject -> predicate -> triples) and ``by_object``
-    (term -> the triples naming it as object, one per parent). It sorts
-    copies and never writes a bucket, which may be in set order or sorted
-    by an earlier ``match``; neither order reaches the output. Subjects,
-    predicates and objects are sorted where they are rendered, and every
-    sort key is total, a blank node's input label breaking the last ties.
+    It reads the graph's subject-predicate index as ``by_subject``
+    (subject -> predicate -> triples), building the indexes if no read has
+    yet. It sorts copies and never writes a bucket, which may be in set
+    order or sorted by an earlier ``match``; neither order reaches the
+    output. It reads no object index: ``parents`` maps each blank node
+    that some triple names as object to those triples, one per parent,
+    built in one pass over the triples. Subjects, predicates and objects
+    are sorted where they are rendered, and every sort key is total, a
+    blank node's input label breaking the last ties.
 
     A blank node named by two triples, or from which a cycle is reachable,
     is labelled ``_:cN``, numbered by content key and then input label;
@@ -925,7 +950,13 @@ class _Serializer:
         # longest-namespace-first so nested namespaces resolve correctly
         self.ns_by_length = sorted(graph.prefixes.items(),
                                    key=lambda kv: (-len(kv[1]), kv[0]))
-        self.by_subject, self.by_object = graph._index or graph._indexes()
+        self.by_subject = (graph._index or graph._indexes())[0]
+        parents: dict[BlankNode, list[Triple]] = {}
+        for t in graph._triples:
+            o = t.object
+            if o.__class__ is BlankNode:
+                parents.setdefault(o, []).append(t)
+        self.parents = parents
         self.cyclic = self._reaching_a_cycle()
         self.keys: dict[tuple, str] = {}
         self.texts: dict[tuple, str] = {}
@@ -936,13 +967,13 @@ class _Serializer:
     def _reaching_a_cycle(self) -> set[BlankNode]:
         """The blank nodes from which a cycle of blank nodes is reachable:
         those left after peeling off sinks again and again, each node's
-        parents read from its object bucket."""
+        parents read from ``parents``."""
         # node -> its blank-node edges not yet peeled
         left = {s: sum(isinstance(t.object, BlankNode) for ts in by_pred.values() for t in ts)
                 for s, by_pred in self.by_subject.items() if isinstance(s, BlankNode)}
-        sinks = [b for b in self.by_object if isinstance(b, BlankNode) and not left.get(b)]
+        sinks = [b for b in self.parents if not left.get(b)]
         while sinks:
-            for t in self.by_object.get(sinks.pop(), ()):
+            for t in self.parents.get(sinks.pop(), ()):
                 s = t.subject
                 if isinstance(s, BlankNode):
                     left[s] -= 1
@@ -975,8 +1006,8 @@ class _Serializer:
 
     def render(self) -> str:
         # blank nodes needing a stable label: multiply referenced or cyclic
-        labelled = sorted(self.cyclic.union(b for b, ts in self.by_object.items()
-                                            if isinstance(b, BlankNode) and len(ts) >= 2),
+        labelled = sorted(self.cyclic.union(b for b, ts in self.parents.items()
+                                            if len(ts) >= 2),
                           key=lambda b: (self.content_key(b), b.label))
         self.labels = {b: f"c{i}" for i, b in enumerate(labelled)}
         self.texts.update((b._key, "_:" + label) for b, label in self.labels.items())
@@ -986,7 +1017,7 @@ class _Serializer:
             else ((2, self.labels[s]), "_:" + self.labels[s], s) if s in self.labels
             else ((1, self.content_key(s), s.label), "[]", s)
             for s in self.by_subject
-            if isinstance(s, Iri) or s in self.labels or s not in self.by_object)
+            if isinstance(s, Iri) or s in self.labels or s not in self.parents)
         body = [f"{head} " + " ;\n    ".join(self._predicate_objects(s)) + " ."
                 for _, head, s in blocks]
         header = "\n".join(f"@prefix {label}: <{ns}> ."

@@ -596,24 +596,23 @@ def emit_report_graph(report: ValidationReport) -> Graph:
     A conforming report is exactly two triples. Blank node labels are
     local to the produced graph.
     """
-    g = Graph(prefixes=dict(STANDARD_PREFIXES))
     root = BlankNode("report")
-    g.add(Triple(root, RDF.type, SH.ValidationReport))
-    g.add(Triple(root, SH.conforms,
-                 Literal("true" if report.conforms else "false", XSD.boolean)))
+    triples = [Triple(root, RDF.type, SH.ValidationReport),
+               Triple(root, SH.conforms,
+                      Literal("true" if report.conforms else "false", XSD.boolean))]
     for i, v in enumerate(report.violations):
         node = BlankNode(f"result{i:03d}")
-        g.add(Triple(root, SH.result, node))
-        g.add(Triple(node, RDF.type, SH.ValidationResult))
-        g.add(Triple(node, SH.focusNode, v.focus_node))
-        g.add(Triple(node, SH.sourceShape, v.source_shape))
-        g.add(Triple(node, SH.resultSeverity, v.severity.iri))
-        g.add(Triple(node, SH.resultMessage, Literal(v.message)))
+        triples += (Triple(root, SH.result, node),
+                    Triple(node, RDF.type, SH.ValidationResult),
+                    Triple(node, SH.focusNode, v.focus_node),
+                    Triple(node, SH.sourceShape, v.source_shape),
+                    Triple(node, SH.resultSeverity, v.severity.iri),
+                    Triple(node, SH.resultMessage, Literal(v.message)))
         if v.path is not None:
-            g.add(Triple(node, SH.resultPath, v.path))
+            triples.append(Triple(node, SH.resultPath, v.path))
         if v.value is not None:
-            g.add(Triple(node, SH.value, v.value))
-    return g
+            triples.append(Triple(node, SH.value, v.value))
+    return Graph(triples, prefixes=STANDARD_PREFIXES)
 
 
 def read_report(graph: Graph) -> ValidationReport:

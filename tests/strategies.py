@@ -9,7 +9,8 @@ equality is label-sensitive and only serialization is label-free.
 
 from hypothesis import strategies as st
 
-from govshapes.rdf import EX, XSD, BlankNode, Graph, Iri, Literal, Triple
+from govshapes.rdf import (EX, RDF, XSD, BlankNode, Graph, Iri, Literal, Triple,
+                          term_sort_key)
 from govshapes.shacl import (ClassConstraint, Datatype, MaxCount, MinCount, NodeKindIri,
                              NodeShape, QualifiedMinCountClass, Severity, SparqlConstraint,
                              _constraint_sort_key)
@@ -85,6 +86,20 @@ def bnode_graphs(draw, max_triples=20):
         # kind 2 leaves the node as a root
         if i > 0 and draw(st.booleans()):
             g.add(Triple(bnodes[i - 1], draw(iris), b))
+    return g
+
+
+@st.composite
+def typed_graphs(draw, max_triples=20):
+    """``bnode_graphs`` with ``rdf:type`` triples: up to four of the
+    graph's subjects, blank nodes among them, each given one or two of
+    three classes, one of them a literal."""
+    g = draw(bnode_graphs(max_triples=max_triples))
+    subjects = sorted({t.subject for t in g._triples}, key=term_sort_key)
+    classes = [EX.C1, EX.C2, Literal("C3")]
+    for s in draw(st.lists(st.sampled_from(subjects), max_size=4)) if subjects else ():
+        for cls in draw(st.lists(st.sampled_from(classes), min_size=1, max_size=2)):
+            g.add(Triple(s, RDF.type, cls))
     return g
 
 

@@ -1,6 +1,7 @@
 """End-to-end command line behavior, driven in process via main(argv)."""
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -8,15 +9,19 @@ import shutil
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from govshapes import corpus
+from govshapes import cli, corpus
 from govshapes.cli import main
 from govshapes.governance import serialize_profile
 from govshapes.rdf import EX, SH, XSD, Literal, parse_turtle
 from govshapes.shacl import load_shapes, read_report
+
+
+CASES = Path(corpus.__file__).parent / "data" / "cases"
 
 
 def write_case(tmp_path, case_id, name=None):
@@ -715,6 +720,74 @@ def test_config_cases_dir_feeds_refine(tmp_path, capsys):
     assert lines[1] == ("Fairness refines Combined: does not hold "
                         "(1 counterexample(s), e.g. case "
                         "missing_model_artifact: ex:A5Shape)")
+
+
+# ---------------------------------------------------------------------------
+# the collector
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def caller_thresholds():
+    """Collector thresholds of a caller's own, restored after the test."""
+    saved = gc.get_threshold()
+    gc.set_threshold(650, 9, 11)
+    yield gc.get_threshold()
+    gc.set_threshold(*saved)
+
+
+def thresholds_seen_by(monkeypatch, command):
+    """The collector thresholds at each call of the subcommand's function."""
+    seen = []
+    run = getattr(cli, f"cmd_{command}")
+
+    def spy(args):
+        seen.append(gc.get_threshold())
+        return run(args)
+
+    monkeypatch.setattr(cli, f"cmd_{command}", spy)
+    return seen
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", str(CASES / "case_conform.ttl"), "--profile", "Combined"],
+    ["refine"],
+])
+def test_validate_and_refine_run_with_the_gen0_threshold_raised(
+        argv, caller_thresholds, monkeypatch, capsys):
+    seen = thresholds_seen_by(monkeypatch, argv[0])
+    assert main(argv) == 0
+    assert seen == [(cli.GEN0_THRESHOLD, 9, 11)]
+    assert gc.get_threshold() == caller_thresholds
+
+
+@pytest.mark.parametrize("argv, status", [
+    (["validate", str(CASES / "case_conform.ttl"), "--profile", "Combined"], 0),
+    (["validate", str(CASES / "case_disparity_exceeds.ttl"), "--profile", "Combined"], 1),
+    (["validate", str(CASES / "case_conform.ttl"), "--profile", "Nope"], 2),
+    (["refine", "--corpus", str(CASES / "case_conform.ttl")], 2),
+])
+def test_main_restores_the_callers_thresholds_on_every_exit_status(
+        argv, status, caller_thresholds, capsys):
+    assert main(argv) == status
+    assert gc.get_threshold() == caller_thresholds
+
+
+def test_main_restores_the_callers_thresholds_when_an_exception_escapes(
+        caller_thresholds, monkeypatch, capsys):
+    def fail(args):
+        raise ValueError("not a GovshapesError")
+    monkeypatch.setattr(cli, "cmd_refine", fail)
+    with pytest.raises(ValueError, match="not a GovshapesError"):
+        main(["refine"])
+    assert gc.get_threshold() == caller_thresholds
+
+
+def test_bench_runs_with_the_callers_thresholds(caller_thresholds, monkeypatch, capsys):
+    seen = thresholds_seen_by(monkeypatch, "bench")
+    assert main(["bench", "--profiles", "Fairness", "--cases", "conform",
+                 "--samples", "30"]) == 0
+    assert seen == [caller_thresholds]
+    assert gc.get_threshold() == caller_thresholds
 
 
 # ---------------------------------------------------------------------------

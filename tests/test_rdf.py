@@ -208,6 +208,65 @@ def test_validation_sorts_no_more_than_the_buckets_it_reads():
         assert graph._sorted is None, case_id
 
 
+@given(gen.typed_graphs(), st.data())
+def test_match_with_rdf_type_agrees_with_a_linear_scan(g, data):
+    triples = g.sorted_triples()
+    terms = [x for t in triples for x in (t.subject, t.object)]
+    probe = st.sampled_from(terms) | gen.ground_terms if terms else gen.ground_terms
+    classes = [t.object for t in triples if t.predicate == RDF.type]
+    s = data.draw(probe)
+    o = data.draw(st.sampled_from(classes) | probe if classes else probe)
+    for mask in itertools.product((False, True), repeat=2):
+        args = [s if mask[0] else None, RDF.type, o if mask[1] else None]
+        assert g.match(*args) == _scan(g, *args)
+    assert g._by_o is None  # the class index answered (None, rdf:type, o)
+
+
+def test_validation_builds_no_object_index(registry, eight_decisions):
+    graphs = [parse_turtle(corpus.case_source(case_id)) for case_id in corpus.CASE_IDS]
+    for graph in [*graphs, parse_turtle(eight_decisions)]:
+        for profile in corpus.COMPILER_PROFILES + corpus.JURISDICTION_PROFILES:
+            registry.validate_profile(graph, profile)
+        assert graph._index is not None and graph._by_o is None
+
+
+def test_serialization_builds_no_object_index(registry):
+    graphs = [parse_turtle(corpus.case_source(case_id)) for case_id in corpus.CASE_IDS]
+    for graph in [*graphs, registry.composed("Combined").document_graph()]:
+        serialize_turtle(graph)
+        assert graph._index is not None and graph._by_o is None
+
+
+def test_a_match_by_object_and_another_predicate_builds_the_object_index():
+    typed, linked = Triple(EX.s, RDF.type, EX.C), Triple(EX.t, EX.p, EX.C)
+    g = Graph([typed, linked])
+    assert g.match(None, RDF.type, EX.C) == [typed]
+    assert g.match(EX.t, EX.p, EX.C) == [linked]
+    assert g.match() == [typed, linked]
+    assert g._by_o is None
+    assert g.match(None, EX.p, EX.C) == [linked]
+    by_o = g._by_o
+    assert list(by_o) == [EX.C]
+    assert g.match(None, None, EX.C) == [typed, linked]
+    assert g._by_o is by_o
+
+
+def test_add_after_a_read_drops_every_index():
+    typed, linked = Triple(EX.s, RDF.type, EX.C), Triple(EX.t, EX.p, EX.C)
+    g = Graph([typed, linked])
+    g.match(None, EX.p, EX.C)
+    assert g.subjects_of_type(EX.C) == [EX.s]
+    assert g.match() == [typed, linked]
+    read = (g._sorted, g._index, g._by_o)
+    assert None not in read
+    g.add(typed)  # a duplicate: a no-op
+    assert all(now is before for now, before in zip((g._sorted, g._index, g._by_o), read))
+    g.add(Triple(EX.t, RDF.type, EX.C))
+    assert (g._sorted, g._index, g._by_o) == (None, None, None)
+    assert g.subjects_of_type(EX.C) == [EX.s, EX.t]
+    assert g.match(None, None, EX.C) == [typed, linked, Triple(EX.t, RDF.type, EX.C)]
+
+
 def test_subjects_of_type():
     g = Graph([
         Triple(EX.d1, RDF.type, EX.Decision),
@@ -1151,27 +1210,30 @@ def test_serialization_fixpoint_with_bnodes(g):
 
 
 def _buckets(g: Graph) -> list:
-    """Every bucket of ``g``'s subject-predicate and object indexes."""
-    by_sp, by_o = g._index
-    return [*(b for by_pred in by_sp.values() for b in by_pred.values()), *by_o.values()]
+    """Every bucket of ``g``'s subject-predicate and class indexes, and of
+    its object index if one is built."""
+    by_sp, by_class = g._index
+    return [*(b for by_pred in by_sp.values() for b in by_pred.values()),
+            *by_class.values(), *(g._by_o or {}).values()]
 
 
-@given(gen.bnode_graphs())
+@given(gen.typed_graphs())
 def test_serialize_reads_the_graph_indexes_and_leaves_them_as_found(g):
     fresh = Graph(g._triples, prefixes=g.prefixes)
     text = serialize_turtle(fresh)
-    assert fresh._sorted is None
+    assert fresh._sorted is None and fresh._by_o is None
     assert all(b.__class__ is list for b in _buckets(fresh))
     read = Graph(g._triples, prefixes=g.prefixes)
     read.match()  # builds the indexes, even with no triple to read below
+    read.match(None, None, EX.s)  # and the object index
     for t in g._triples:
         for mask in itertools.product((False, True), repeat=3):
             read.match(*(term if bound else None
                          for term, bound in zip((t.subject, t.predicate, t.object), mask)))
-    index, buckets = read._index, _buckets(read)
+    index, by_o, buckets = read._index, read._by_o, _buckets(read)
     assert all(b.__class__ is tuple for b in buckets)
     assert serialize_turtle(read) == text
-    assert read._index is index
+    assert read._index is index and read._by_o is by_o
     assert all(b is before for b, before in zip(_buckets(read), buckets, strict=True))
 
 
